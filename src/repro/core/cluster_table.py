@@ -38,7 +38,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..graphs.bfs import _flat_bfs_distances, _np_bfs_dist_array
+from ..graphs.bfs import _flat_bfs_distances, _np_hops
 from ..graphs.graph import Graph
 from ..kernels import require_numpy, use_numpy
 
@@ -64,7 +64,7 @@ def _np_members_radius(graph: Graph, center: int, members) -> int:
     pure-Python sweep.
     """
     np = require_numpy()
-    dist = _np_bfs_dist_array(graph, (center,))
+    dist = _np_hops(graph, center)
     idx = _np_of(members)
     if idx.size == 0:
         return 0

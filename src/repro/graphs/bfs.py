@@ -157,55 +157,46 @@ def _flat_bfs_distances(
     return dist, order
 
 
-def _np_bfs_dist_array(
-    graph: Graph, sources: Iterable[int], max_depth: Optional[int] = None
-):
-    """Vectorized level-synchronous (multi-source) BFS distance kernel.
+def compiled_bfs(graph: Graph, source: int, max_depth: Optional[int] = None):
+    """Compiled single-source BFS (``scipy.sparse.csgraph``), cut at ``max_depth``.
 
-    Returns a dense ``numpy.int64`` array with ``-1`` for unreached vertices
-    -- the vectorized counterpart of :func:`_flat_bfs_distances`'s ``dist``
-    list, guaranteed element-identical to it (distances are unique, so
-    frontier *order* cannot influence them).  Each level expands every
-    frontier row at once: one fancy-indexed gather of all neighbour segments
-    (``np.repeat`` over the CSR ``indptr`` spans), one mask against the
-    distance array, one ``np.unique`` to form the next frontier.
+    Returns ``(order, predecessors, bounds)``: ``order`` lists the reached
+    vertices in visit order, level ``d`` is ``order[bounds[d]:bounds[d + 1]]``
+    and ``predecessors[v]`` is ``v``'s BFS-tree parent (meaningful for the
+    non-source vertices of ``order``).  csgraph's BFS keeps a FIFO queue and
+    scans every CSR row in stored (sorted) order, so each parent is the
+    *first toucher* -- exactly the parent the pure-Python sweeps pick -- and
+    the parents' positions in ``order`` never decrease.  Every level boundary
+    is therefore one ``searchsorted`` over those positions, and a depth
+    cutoff is a prefix of ``order``.
     """
+    # Imported here, not in ``kernels``: the first compiled sweep pays the
+    # csgraph import, never backend selection or the numpy tier's setup.
+    from scipy.sparse.csgraph import breadth_first_order
+
     np = require_numpy()
-    csr = graph.csr()
-    n = csr.num_vertices
-    indptr = csr.indptr_np
-    adj = csr.adj_np
-    dist = np.full(n, -1, dtype=np.int64)
-    seeds = []
-    for s in sources:
-        if not 0 <= s < n:
-            raise ValueError(f"source {s} is out of range [0, {n})")
-        seeds.append(s)
-    if not seeds:
-        return dist
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    dist[frontier] = 0
-    arange = np.arange
-    depth = 0
-    while frontier.size:
-        if max_depth is not None and depth >= max_depth:
-            break
-        depth += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather all frontier rows back-to-back: element k of the expansion
-        # is adj[starts[i] + offset] for the k-th (row i, offset) pair.
-        flat = np.repeat(starts - (np.cumsum(counts) - counts), counts) + arange(total)
-        neighbors = adj[flat]
-        fresh = neighbors[dist[neighbors] < 0]
-        if fresh.size == 0:
-            break
-        frontier = np.unique(fresh)
-        dist[frontier] = depth
-    return dist
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} is out of range [0, {n})")
+    order, predecessors = breadth_first_order(
+        graph.csr().scipy_csr(), source, directed=True, return_predecessors=True
+    )
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    parent_position = position[predecessors[order[1:]]]
+    bounds = [0, 1]
+    while bounds[-1] < order.size and (max_depth is None or len(bounds) <= max_depth + 1):
+        bounds.append(1 + int(parent_position.searchsorted(bounds[-1])))
+    return order[: bounds[-1]], predecessors, bounds
+
+
+def _np_hops(graph: Graph, source: int, max_depth: Optional[int] = None):
+    """Dense ``numpy.int64`` hop counts from ``source`` (``-1`` if unreached)."""
+    np = require_numpy()
+    order, _, bounds = compiled_bfs(graph, source, max_depth=max_depth)
+    hops = np.full(graph.num_vertices, -1, dtype=np.int64)
+    hops[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return hops
 
 
 def bfs_distances(
@@ -214,7 +205,7 @@ def bfs_distances(
     """Return ``{v: dist(source, v)}`` for all reached vertices (ascending ``v``)."""
     if use_numpy(graph.num_vertices):
         np = require_numpy()
-        dist = _np_bfs_dist_array(graph, (source,), max_depth=max_depth)
+        dist = _np_hops(graph, source, max_depth=max_depth)
         reached = np.flatnonzero(dist >= 0)
         return dict(zip(reached.tolist(), dist[reached].tolist()))
     dist, order = _flat_bfs_distances(graph, (source,), max_depth=max_depth)

@@ -15,12 +15,14 @@ cached snapshot and invalidates it on any mutation (``add_edge`` /
 
 Vectorized kernel tier (PR 7): :attr:`CSRGraph.indptr_np` / :attr:`CSRGraph.adj_np`
 expose the same two buffers as **zero-copy, read-only** NumPy views, and
-:meth:`CSRGraph.scipy_csr` wraps them in a cached ``scipy.sparse.csr_matrix``
-handle sharing the index storage.  Because the views live on the snapshot,
-the existing ``Graph.version`` contract is exactly their invalidation rule:
-a mutation drops the cached snapshot, and the next ``Graph.csr()`` call
-yields a fresh one with fresh views, while views held from the old snapshot
-keep showing the old topology.
+:meth:`CSRGraph.scipy_csr` builds a cached ``scipy.sparse.csr_matrix`` from
+them in the types ``scipy.sparse.csgraph`` works in (``int32`` indices,
+``float64`` data -- a copy, not a view), the input of every compiled BFS.
+Because the views and the matrix live on the snapshot, the existing
+``Graph.version`` contract is exactly their invalidation rule: a mutation
+drops the cached snapshot, and the next ``Graph.csr()`` call yields a fresh
+one with fresh views, while views held from the old snapshot keep showing
+the old topology.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class CSRGraph:
         # are materialized lazily because not every consumer needs them.
         self._rows: List[Tuple[int, ...]] = []
         # Lazy derived handles of the vectorized tier: zero-copy NumPy views
-        # of the two buffers and the scipy.sparse matrix wrapping them.
+        # of the two buffers and the csgraph-native scipy.sparse matrix.
         self._np_views = None
         self._scipy = None
 
@@ -116,7 +118,7 @@ class CSRGraph:
         return self._rows
 
     # ------------------------------------------------------------------
-    # Vectorized tier: zero-copy NumPy views and the scipy CSR handle
+    # Vectorized tier: zero-copy NumPy views and the scipy CSR matrix
     # ------------------------------------------------------------------
     def _numpy_views(self):
         from ..kernels import require_numpy
@@ -147,15 +149,18 @@ class CSRGraph:
         return self._numpy_views()[1]
 
     def scipy_csr(self):
-        """The snapshot as a cached ``scipy.sparse.csr_matrix`` (n x n, 0/1).
+        """The snapshot as a cached, csgraph-native ``scipy.sparse.csr_matrix``.
 
-        The matrix's ``indptr``/``indices`` share this snapshot's buffers
-        (zero-copy; only the unit ``data`` vector is allocated), so building
-        it costs O(m) once and nothing afterwards.  Like every derived view
-        it is invalidated through the ``Graph.version`` contract: mutations
-        drop the graph's cached snapshot, and the next ``Graph.csr()`` hands
-        out a fresh snapshot with a fresh matrix, while a held handle keeps
-        showing the topology at snapshot time.
+        The n x n matrix carries ``float64`` unit data and ``int32``
+        ``indptr``/``indices`` copies of the snapshot's buffers (``int64``
+        only when the graph is too large for ``int32``): the types
+        ``scipy.sparse.csgraph`` works in, so a compiled BFS over it converts
+        nothing per call.  It is built in O(m) on first use and then cached.
+        Unlike :attr:`indptr_np`/:attr:`adj_np` it is *not* zero-copy.  Like
+        every derived view it is invalidated through the ``Graph.version``
+        contract: mutations drop the graph's cached snapshot, and the next
+        ``Graph.csr()`` hands out a fresh snapshot with a fresh matrix, while
+        a held handle keeps showing the topology at snapshot time.
         """
         matrix = self._scipy
         if matrix is None:
@@ -164,14 +169,15 @@ class CSRGraph:
             np = require_numpy()
             sparse = require_scipy_sparse()
             indptr_np, adj_np = self._numpy_views()
-            # The validating constructor copies (and possibly downcasts) the
-            # index arrays; assembling the matrix attribute-wise keeps the
-            # zero-copy contract.  Rows are sorted and duplicate-free by
-            # CSRGraph construction, so the canonical-format flags hold.
-            matrix = sparse.csr_matrix((self._n, self._n), dtype=np.int64)
-            matrix.data = np.ones(len(self.adj), dtype=np.int64)
-            matrix.indices = adj_np
-            matrix.indptr = indptr_np
+            fits = max(self._n, len(self.adj)) <= np.iinfo(np.int32).max
+            index_type = np.int32 if fits else np.int64
+            # Assembled attribute-wise: rows are sorted and duplicate-free by
+            # CSRGraph construction, so the validating constructor's checks
+            # (and its copies) are redundant.
+            matrix = sparse.csr_matrix((self._n, self._n), dtype=np.float64)
+            matrix.data = np.ones(len(self.adj), dtype=np.float64)
+            matrix.indices = adj_np.astype(index_type)
+            matrix.indptr = indptr_np.astype(index_type)
             matrix.has_sorted_indices = True
             matrix.has_canonical_format = True
             self._scipy = matrix

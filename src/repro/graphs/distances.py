@@ -11,7 +11,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..kernels import active_backend, require_numpy, use_numpy
-from .bfs import _np_bfs_dist_array, bfs_distances
+from .bfs import bfs_distances, compiled_bfs
 from .graph import Graph
 
 INFINITY: float = float("inf")
@@ -23,7 +23,8 @@ def single_source_distances(graph: Graph, source: int) -> List[float]:
     This is the distance-only hot path: a level-synchronous sweep over the
     graph's CSR snapshot writing straight into the dense float vector, with no
     intermediate dict and no parent bookkeeping.  Under the vectorized kernel
-    tier the vector is a read-only ``numpy.float64`` array instead of a list;
+    tier the sweep is one compiled BFS (:func:`~repro.graphs.bfs.compiled_bfs`)
+    and the vector is a read-only ``numpy.float64`` array instead of a list;
     element values are identical either way (whole hop counts, ``inf`` for
     unreachable), and every consumer treats the vector as read-only.
     """
@@ -32,9 +33,9 @@ def single_source_distances(graph: Graph, source: int) -> List[float]:
         raise ValueError(f"source {source} is out of range [0, {n})")
     if use_numpy(n):
         np = require_numpy()
-        hops = _np_bfs_dist_array(graph, (source,))
-        vec = hops.astype(np.float64)
-        vec[hops < 0] = np.inf
+        order, _, bounds = compiled_bfs(graph, source)
+        vec = np.full(n, np.inf)
+        vec[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.float64), np.diff(bounds))
         # Cached vectors are shared by reference; freeze the numpy ones so a
         # stray in-place edit cannot corrupt every later analysis.
         vec.flags.writeable = False

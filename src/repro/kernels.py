@@ -7,8 +7,10 @@ queries, the stretch evaluator -- exist in two implementations:
   only implementation until PR 7, and still the only one when NumPy is not
   installed); and
 * a **vectorized** tier over zero-copy NumPy views of the same CSR buffers
-  (``CSRGraph.indptr_np`` / ``adj_np``), which wins past a few tens of
-  thousands of vertices and is what pushes the capacity ladder to n >= 100k.
+  (``CSRGraph.indptr_np`` / ``adj_np``) whose single-source BFS sweeps run
+  on ``scipy.sparse.csgraph``'s compiled BFS over the snapshot's cached
+  ``CSRGraph.scipy_csr()`` matrix (``int32`` index copies, ``float64`` data);
+  it is what pushes the capacity ladder to n >= 100k.
 
 This module is the single switch deciding which one runs.  Selection rules:
 
@@ -29,7 +31,10 @@ golden protocol counters never depend on the backend.  The switch only moves
 wall-clock.
 
 NumPy and SciPy are imported lazily on first use, never at import time, so
-the pure-Python tier works on a bare interpreter.
+the pure-Python tier works on a bare interpreter.  ``scipy.sparse.csgraph``
+is imported later still, by the first compiled BFS
+(:func:`repro.graphs.bfs.compiled_bfs`), so neither backend selection nor
+:func:`require_numpy` pays for it.
 """
 
 from __future__ import annotations
@@ -47,12 +52,23 @@ KERNEL_MODES = (KERNEL_PYTHON, KERNEL_NUMPY, KERNEL_AUTO)
 #: (also how ``--kernel`` propagates into experiment worker processes).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-#: ``auto`` threshold: vectorized kernels win on graphs with at least this
-#: many vertices.  Measured crossover on sparse_gnp workloads (reference
-#: machine): single-source sweeps reach parity around n=24k-32k (1.15x at
-#: 32768, 2.4x at 131072) and the full centralized build follows (1.9x at
-#: 131072); below the threshold the per-level NumPy call overhead loses to
-#: the tight CPython loops (0.4-0.7x under n=16k).
+#: ``auto`` threshold: graphs with at least this many vertices run the
+#: vectorized tier.  The value dates from the level-by-level NumPy sweeps,
+#: which reached parity with the CPython loops only around n=24k-32k.  The
+#: compiled BFS moved the single-source crossover far lower.  Median time per
+#: source of ``graphs.distances.single_source_distances`` on a warm snapshot
+#: (imports and the one-time ``scipy_csr()`` build excluded; sparse_gnp,
+#: one core of an Intel Xeon):
+#:
+#:     n      degree 4: python / compiled    degree n^(1/3): python / compiled
+#:   2048      0.53 / 0.16 ms   (3.3x)        1.16 / 0.21 ms   (5.6x)
+#:   8192      2.31 / 0.55 ms   (4.2x)        8.39 / 0.83 ms  (10.1x)
+#:  16384      5.78 / 1.05 ms   (5.5x)        29.1 / 1.94 ms  (15.0x)
+#:  32768      15.6 / 2.29 ms   (6.8x)        71.1 / 5.32 ms  (13.4x)
+#:
+#: Parity is now near n=128-256.  The threshold stays at 32768 for now:
+#: lowering it would switch every workload between those sizes to the
+#: vectorized tier (and its ~0.3 s numpy+scipy import), a change of its own.
 AUTO_MIN_VERTICES = 32768
 
 _requested: Optional[str] = None

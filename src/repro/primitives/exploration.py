@@ -37,6 +37,7 @@ from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import Simulator
+from ..graphs.bfs import compiled_bfs
 from ..kernels import require_numpy, use_numpy
 
 EXPLORE_TAG = "explore"
@@ -523,8 +524,9 @@ def centralized_engine_exploration(
 ) -> CenterExploration:
     """Exact per-center exploration in flat arrays (centralized engine hot path).
 
-    Runs one depth-bounded frontier sweep per center over the CSR snapshot,
-    recording only parent pointers (a dense list per center) and the centers
+    Runs one depth-bounded frontier sweep per center over the CSR snapshot
+    (on the vectorized tier, one compiled BFS cut at ``depth``), recording
+    only parent pointers (a dense array per center) and the centers
     encountered.  Visit order matches :func:`centralized_bounded_exploration`
     exactly, so the parent chains equal its via chains.
     """
@@ -560,43 +562,16 @@ def centralized_engine_exploration(
             for center in center_list:
                 near_centers[center] = [v for v in rows[center] if is_center[v]]
     elif use_numpy(n):
-        # Vectorized per-center sweep.  The scalar loop's first-toucher-wins
-        # parent rule is replicated exactly: the level expansion gathers the
-        # frontier rows in frontier order (and each CSR row is sorted), so
-        # the first occurrence of a fresh vertex in the gathered array is the
-        # scalar winner -- ``np.unique(..., return_index=True)`` recovers it,
-        # and re-sorting the unique vertices by first occurrence restores the
-        # discovery-order frontier the next level's gather depends on.
+        # One compiled BFS per center, cut at ``depth``: csgraph's FIFO sweep
+        # over sorted CSR rows picks the same first-toucher parents as the
+        # scalar loop below (see :func:`~repro.graphs.bfs.compiled_bfs`).
         np = require_numpy()
-        csr = graph.csr()
-        indptr = csr.indptr_np
-        adj = csr.adj_np
         centers_np = np.asarray(center_list, dtype=np.int64)
         for center in center_list:
+            order, predecessors, _ = compiled_bfs(graph, center, max_depth=depth)
             parent = np.full(n, -1, dtype=np.int64)
+            parent[order] = predecessors[order]
             parent[center] = center
-            frontier = np.asarray([center], dtype=np.int64)
-            d = 0
-            while frontier.size and d < depth:
-                d += 1
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                flat = (
-                    np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                    + np.arange(total)
-                )
-                neighbors = adj[flat]
-                fresh_mask = parent[neighbors] < 0
-                fresh = neighbors[fresh_mask]
-                if fresh.size == 0:
-                    break
-                src = np.repeat(frontier, counts)[fresh_mask]
-                uniq, first = np.unique(fresh, return_index=True)
-                parent[uniq] = src[first]
-                frontier = uniq[np.argsort(first, kind="stable")]
             reached = centers_np[parent[centers_np] >= 0]
             near_centers[center] = reached[reached != center].tolist()
             parents[center] = parent

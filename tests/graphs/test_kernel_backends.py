@@ -26,7 +26,7 @@ from repro.core.cluster_table import (
     flat_collections_partition_vertices,
 )
 from repro.core.parameters import StretchGuarantee
-from repro.graphs import gnp_random_graph
+from repro.graphs import Graph, gnp_random_graph
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.distances import distance_histogram, single_source_distances
 from repro.primitives.exploration import centralized_engine_exploration
@@ -81,7 +81,7 @@ def voronoi_clusters(graph, centers):
 # ----------------------------------------------------------------------
 class TestBFSEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("max_depth", [None, 3, 0, 1])
     def test_bfs_distances_match(self, kernel, seed, max_depth):
         graph = workload(90, 0.03, seed)  # sparse enough to leave stragglers
         for source in (0, 7, 41):
@@ -90,6 +90,7 @@ class TestBFSEquivalence:
                 lambda s=source: bfs_distances(graph, s, max_depth=max_depth),
             )
             assert py == np_
+            assert all(type(d) is int for d in np_.values())
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_single_source_vectors_match(self, kernel, seed):
@@ -131,6 +132,25 @@ class TestClusterEquivalence:
         py, np_ = both_backends(kernel, query)
         assert py == np_
         assert py["partition"] is True
+
+    def test_unreachable_member_raises_the_same_error(self, kernel):
+        # Two components: the cluster centered at 0 claims vertex 5 of the other.
+        graph = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])
+        snapshot = FlatClusters.from_center_map(
+            8, {0: 0, 1: 0, 5: 0, 2: 2, 3: 2, 4: 4, 6: 4, 7: 7}
+        )
+
+        def errors():
+            messages = []
+            for query in (snapshot.max_radius_in, snapshot.by_center(0).radius_in):
+                with pytest.raises(ValueError) as info:
+                    query(graph)
+                messages.append(str(info.value))
+            return messages
+
+        py, np_ = both_backends(kernel, errors)
+        assert py == np_
+        assert py[0] == "vertex 5 of the cluster centered at 0 is unreachable"
 
     def test_partition_check_rejects_overlap_on_both_backends(self, kernel):
         n = 40
@@ -212,6 +232,51 @@ class TestExplorationEquivalence:
             assert all(type(endpoint) is int for endpoint in edge)
 
 
+    @staticmethod
+    def explore(graph, centers, depth):
+        exploration = centralized_engine_exploration(graph, centers, depth=depth, cap=3)
+        return (
+            {c: list(v) for c, v in exploration.near_centers.items()},
+            {c: list(v) for c, v in exploration.parents.items()},
+            exploration.popular,
+        )
+
+    @pytest.mark.parametrize("depth_kind", ["2", "3", "eccentricity", "beyond"])
+    def test_parents_match_around_the_eccentricity(self, kernel, depth_kind):
+        graph = workload(120, 0.03, seed=7)
+        centers = [0, 9, 25, 44, 71, 118]
+        eccentricity = max(bfs_distances(graph, centers[0]).values())
+        depth = {
+            "2": 2,
+            "3": 3,
+            "eccentricity": eccentricity,
+            "beyond": eccentricity + 5,
+        }[depth_kind]
+        py, np_ = both_backends(kernel, lambda: self.explore(graph, centers, depth))
+        assert py == np_
+        # The first center's ball is cut exactly at (or past) its last level.
+        if depth_kind in ("eccentricity", "beyond"):
+            reached = {v for v, p in enumerate(np_[1][centers[0]]) if p >= 0}
+            assert reached == set(bfs_distances(graph, centers[0]))
+
+    def test_disconnected_graph_with_an_isolated_center(self, kernel):
+        graph = Graph(12, [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8)])
+        centers = [0, 2, 4, 6, 8]  # vertex 4 is isolated
+        py, np_ = both_backends(kernel, lambda: self.explore(graph, centers, 3))
+        assert py == np_
+        near, parents, _ = np_
+        assert near[4] == [] and near[6] == [8]
+        assert [p for p in parents[4] if p >= 0] == [4]
+
+    def test_edgeless_graph(self, kernel):
+        graph = Graph(10)
+        py, np_ = both_backends(kernel, lambda: self.explore(graph, [1, 5, 9], 4))
+        assert py == np_
+        near, parents, popular = np_
+        assert all(not near[c] for c in (1, 5, 9)) and not popular
+        assert parents[5] == [5 if v == 5 else -1 for v in range(10)]
+
+
 class TestEngineEquivalence:
     def test_centralized_build_is_backend_independent(self, kernel):
         graph = workload(150, 0.04, seed=9)
@@ -241,6 +306,12 @@ class TestCSRViews:
     def test_scipy_handle_is_cached_per_snapshot(self):
         csr = workload(30, 0.2, seed=0).csr()
         assert csr.scipy_csr() is csr.scipy_csr()
+        # csgraph-native types, so a compiled BFS converts nothing per call.
+        matrix = csr.scipy_csr()
+        assert matrix.data.dtype.name == "float64"
+        assert matrix.indices.dtype.name == matrix.indptr.dtype.name == "int32"
+        assert list(matrix.indptr) == list(csr.indptr)
+        assert list(matrix.indices) == list(csr.adj)
 
     def test_graph_version_invalidates_the_scipy_view(self, kernel):
         kernel(kernels.KERNEL_NUMPY)
@@ -323,6 +394,36 @@ class TestKernelSelector:
             "result = repro.build('new-centralized', gnp_random_graph(40, 0.15, seed=1))\n"
             "assert result.spanner.num_edges > 0\n"
             "assert 'numpy' not in sys.modules, 'numpy imported on a small pure-Python workload'\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_csgraph_is_imported_at_the_first_compiled_bfs_only(self):
+        # The csgraph import must not land in backend selection, in the numpy
+        # tier's own imports, or in a python-backend build.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro import kernels\n"
+            "from repro.graphs import gnp_random_graph\n"
+            "kernels.set_kernel('python')\n"
+            "kernels.require_numpy()\n"
+            "graph = gnp_random_graph(40, 0.15, seed=1)\n"
+            "assert repro.build('new-centralized', graph).spanner.num_edges > 0\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules, 'csgraph imported early'\n"
+            "kernels.set_kernel('numpy')\n"
+            "repro.build('new-centralized', graph)\n"
+            "assert 'scipy.sparse.csgraph' in sys.modules\n"
         )
         src = Path(__file__).resolve().parents[2] / "src"
         proc = subprocess.run(

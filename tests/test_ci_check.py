@@ -22,6 +22,7 @@ EXPECTED_STAGE_ORDER = [
     "lint (ruff)",
     "tier-1 tests",
     "tier-1 tests (pure-python kernel)",
+    "perfbench self-tests",
     "golden counters",
     "phase micro-benchmarks (quick mode)",
     "capacity ladder (quick mode)",
@@ -107,6 +108,12 @@ class TestStagePlan:
         plan = dict(ci_check.stage_plan(_args(), "snap.json"))
         gate = plan["registry completeness"]
         assert any("registry_check.py" in part for part in gate)
+
+    def test_perfbench_stage_runs_the_benchmark_self_tests(self, ci_check):
+        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        stage = plan["perfbench self-tests"]
+        assert stage[1:3] == ["-m", "pytest"]
+        assert stage[3] == str(ci_check.REPO_ROOT / "perfbench" / "tests")
 
     def test_fast_skips_only_the_pytest_stages(self, ci_check, with_ruff):
         plan = ci_check.stage_plan(_args(fast=True), "snap.json")
@@ -226,8 +233,8 @@ class TestMainOrchestration:
         fake = FakeRun(returncodes={"bench_compare.py": 3})
         monkeypatch.setattr(ci_check.subprocess, "run", fake)
         assert ci_check.main([]) == 1
-        # lint + both tier-1 stages + golden ran; every later stage skipped.
-        assert len(fake.calls) == 4
+        # Every stage up to and including golden ran; every later stage skipped.
+        assert len(fake.calls) == EXPECTED_STAGE_ORDER.index("golden counters") + 1
         out = capsys.readouterr().out
         assert "FAILED (exit 3)" in out
         assert "phase micro-benchmarks (quick mode): skipped (earlier stage failed)" in out
@@ -241,7 +248,7 @@ class TestMainOrchestration:
         snapshot.write_text("{}", encoding="utf-8")
         assert ci_check.main(["--snapshot", str(snapshot)]) == 0
         assert snapshot.exists()
-        golden_call = fake.calls[3]
+        golden_call = fake.calls[EXPECTED_STAGE_ORDER.index("golden counters")]
         assert str(snapshot) in golden_call
 
 
