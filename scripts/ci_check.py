@@ -12,44 +12,49 @@ Runs, in order (see :func:`stage_plan`):
 3. ``tier-1 tests (pure-python kernel)`` -- the same suite pinned to
    ``REPRO_KERNEL=python``: the tree must work without the vectorized
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
-4. ``perfbench self-tests`` -- ``python -m pytest perfbench/tests -q``: the
+4. ``engine tests (numpy kernel)`` -- ``python -m pytest tests/core
+   tests/primitives tests/graphs -q`` pinned to ``REPRO_KERNEL=numpy``: the
+   engine suite on the vectorized tier, which ``auto`` only selects from
+   ``kernels.AUTO_MIN_VERTICES`` vertices on (every test graph is smaller).
+   Runs under ``--fast`` too.
+5. ``perfbench self-tests`` -- ``python -m pytest perfbench/tests -q``: the
    benchmark's own checks (statistics, the comparison gate, the
    workload-validity gate, the traced run).  The traced run wraps
    ``centralized_engine_exploration``, ``DistanceCache.vector`` and
    ``CSRGraph.from_graph`` by name, so renaming one of them fails here
    instead of silently breaking the benchmark.  Runs under ``--fast`` too.
-5. ``golden counters`` -- ``scripts/bench_compare.py --skip-benchmarks``
+6. ``golden counters`` -- ``scripts/bench_compare.py --skip-benchmarks``
    against the committed ``BENCH_seed.json``: the fixed distributed build and
    BFS-forest protocol must stay bit-identical.  ``--snapshot PATH`` keeps
    the produced snapshot (CI uploads it as an artifact).
-6. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
+7. ``phase micro-benchmarks (quick mode)`` -- the superclustering /
    interconnection phase drivers run once, assertions only.
-7. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
+8. ``capacity ladder (quick mode)`` -- ``repro capacity`` on a tiny budget
    and window: exercises the measured-capacity search and its CLI end to end
    on every push without paying real measurement time.
-8. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
+9. ``capacity ladder (quick mode, numpy kernel)`` -- the same quick ladder
    under ``repro --kernel numpy``: drives the vectorized kernels through the
    whole capacity CLI.
-9. ``fault injection (quick mode)`` -- ``repro chaos`` over the
-   chaos-primitives matrix with a wall-clock task timeout: every injected
-   fault schedule must terminate in a typed outcome (the scenario checks
-   enforce it) and the failure manifest must validate against its schema.
-10. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
+10. ``fault injection (quick mode)`` -- ``repro chaos`` over the
+    chaos-primitives matrix with a wall-clock task timeout: every injected
+    fault schedule must terminate in a typed outcome (the scenario checks
+    enforce it) and the failure manifest must validate against its schema.
+11. ``dynamic churn (quick mode)`` -- ``repro dynamic`` over the
     dynamic-churn matrix: every incremental-capable algorithm maintains its
     spanner through seeded churn traces and the scenario checks re-verify the
     declared guarantee after every single step.
-11. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
+12. ``store-corruption smoke`` -- ``repro chaos --store-smoke``: corrupt one
     cached task entry, then prove the store invalidates it, recomputes exactly
     that task on resume, and reproduces a byte-identical record.
-12. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
+13. ``serve smoke (quick mode)`` -- ``repro serve --check`` on a small seeded
     mixed load: the request broker must show cache hits and coalesced
     single-flight builds and lose no request (zero dropped / failed /
     rejected responses).
-13. ``registry completeness`` -- ``scripts/registry_check.py``: every
+14. ``registry completeness`` -- ``scripts/registry_check.py``: every
     registered algorithm must have a measured CAPACITY.json entry, a row in
     EXPERIMENTS.md's Algorithm registry table, and membership in at least
     one scenario matrix.  Registration drift fails the build.
-14. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
+15. ``experiments-md drift`` -- the committed EXPERIMENTS.md must match the
     current algorithm/scenario registries.
 
 Stages run sequentially and the first failure stops the run (later stages
@@ -100,6 +105,9 @@ QUICK_DYNAMIC_TASK_TIMEOUT = "120"
 #: 12-key Zipf catalogue that hits and coalesced builds are guaranteed, small
 #: enough to finish in a couple of seconds.
 QUICK_SERVE_REQUESTS = "200"
+
+#: The engine suite (under ``tests/``) that the numpy-kernel stage runs.
+ENGINE_TEST_DIRS = ("core", "primitives", "graphs")
 
 
 @dataclass
@@ -164,6 +172,19 @@ def stage_plan(args: argparse.Namespace, snapshot_path: str) -> List[Tuple[str, 
         ("lint (ruff)", lint_cmd),
         ("tier-1 tests", pytest_cmd),
         ("tier-1 tests (pure-python kernel)", pure_pytest_cmd),
+        (
+            # The engine suite on the vectorized tier: its test graphs are
+            # far below AUTO_MIN_VERTICES, so only the pin exercises it.
+            "engine tests (numpy kernel)",
+            [
+                "REPRO_KERNEL=numpy",
+                sys.executable,
+                "-m",
+                "pytest",
+                *(str(REPO_ROOT / "tests" / part) for part in ENGINE_TEST_DIRS),
+                "-q",
+            ],
+        ),
         (
             "perfbench self-tests",
             [sys.executable, "-m", "pytest", str(REPO_ROOT / "perfbench" / "tests"), "-q"],

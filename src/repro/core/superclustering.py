@@ -26,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..graphs.bfs import frontier_forest
 from ..graphs.graph import Graph
+from ..kernels import use_numpy
 from .clusters import Cluster, ClusterCollection
 
 
@@ -50,9 +52,19 @@ def deterministic_forest(
     the lexicographically smallest ``(root, parent)`` among its neighbours at
     distance ``d - 1`` -- exactly the rule of the distributed protocol in
     :mod:`repro.primitives.bfs_forest`, so the two produce identical forests.
+    On the vectorized tier the sweep is
+    :func:`~repro.graphs.bfs.frontier_forest`, which breaks ties the same way.
     """
     n = graph.num_vertices
     source_list = sorted(set(sources))
+    for s in source_list:
+        if not 0 <= s < n:
+            raise ValueError(f"source {s} is out of range [0, {n})")
+    if use_numpy(n):
+        return tuple(
+            _optional_list(array)
+            for array in frontier_forest(graph.csr(), source_list, max_depth=depth)
+        )
     root: List[Optional[int]] = [None] * n
     dist: List[Optional[int]] = [None] * n
     parent: List[Optional[int]] = [None] * n
@@ -91,6 +103,14 @@ def deterministic_forest(
         next_frontier.sort(key=root.__getitem__)
         frontier = next_frontier
     return root, dist, parent
+
+
+def _optional_list(array) -> List[Optional[int]]:
+    """A ``-1``-for-missing int array as a list with ``None`` for missing."""
+    values = array.tolist()
+    for index in (array < 0).nonzero()[0].tolist():
+        values[index] = None
+    return values
 
 
 def forest_path_edges(

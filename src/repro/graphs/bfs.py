@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..kernels import require_numpy, use_numpy
+from .csr import CSRGraph
 from .graph import Graph
 
 
@@ -157,10 +158,12 @@ def _flat_bfs_distances(
     return dist, order
 
 
-def compiled_bfs(graph: Graph, source: int, max_depth: Optional[int] = None):
+def compiled_bfs(csr: CSRGraph, source: int, max_depth: Optional[int] = None):
     """Compiled single-source BFS (``scipy.sparse.csgraph``), cut at ``max_depth``.
 
-    Returns ``(order, predecessors, bounds)``: ``order`` lists the reached
+    Sweeps the CSR snapshot ``csr`` (a ``Graph.csr()`` handle, so a caller
+    that holds it keeps sweeping the topology of that moment).  Returns
+    ``(order, predecessors, bounds)``: ``order`` lists the reached
     vertices in visit order, level ``d`` is ``order[bounds[d]:bounds[d + 1]]``
     and ``predecessors[v]`` is ``v``'s BFS-tree parent (meaningful for the
     non-source vertices of ``order``).  csgraph's BFS keeps a FIFO queue and
@@ -175,11 +178,11 @@ def compiled_bfs(graph: Graph, source: int, max_depth: Optional[int] = None):
     from scipy.sparse.csgraph import breadth_first_order
 
     np = require_numpy()
-    n = graph.num_vertices
+    n = csr.num_vertices
     if not 0 <= source < n:
         raise ValueError(f"source {source} is out of range [0, {n})")
     order, predecessors = breadth_first_order(
-        graph.csr().scipy_csr(), source, directed=True, return_predecessors=True
+        csr.scipy_csr(), source, directed=True, return_predecessors=True
     )
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(order.size)
@@ -190,10 +193,76 @@ def compiled_bfs(graph: Graph, source: int, max_depth: Optional[int] = None):
     return order[: bounds[-1]], predecessors, bounds
 
 
+def frontier_forest(csr: CSRGraph, sources: Iterable[int], max_depth: Optional[int] = None):
+    """Vectorized level-synchronous multi-source BFS forest over ``csr``.
+
+    Returns ``(root, dist, parent)`` as ``numpy.int64`` arrays, ``-1`` where
+    a vertex is unreached (and for the sources' parents).  Every level is
+    expanded in ``(root, v)`` order -- level 0 is the sorted distinct
+    sources -- scanning each row in stored (sorted) order, and the first
+    toucher of an unreached vertex claims it.  This is the tie-breaking of
+    :func:`repro.core.superclustering.deterministic_forest` (each vertex
+    adopts the smallest ``(root, parent)`` one level up), so the two agree
+    exactly.  One level is a few whole-array operations over the frontier's
+    rows in ``csr.indptr_np``/``csr.adj_np``; ``numpy.minimum.at`` picks the
+    first toucher of every vertex without sorting the touched rows.
+    """
+    np = require_numpy()
+    n = csr.num_vertices
+    indptr, adj = csr.indptr_np, csr.adj_np
+    frontier = np.unique(np.fromiter(sources, dtype=np.int64))
+    # Checked up front: numpy indexing would wrap a negative source around.
+    if frontier.size and (frontier[0] < 0 or frontier[-1] >= n):
+        bad = frontier[0] if frontier[0] < 0 else frontier[-1]
+        raise ValueError(f"source {bad} is out of range [0, {n})")
+    root = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    root[frontier] = frontier
+    dist[frontier] = 0
+    # ``dist >= 0`` as one byte per vertex: the per-touch membership gather.
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    # Per-vertex scratch for the first-toucher pick, reset after each level.
+    unclaimed = np.iinfo(np.int64).max
+    first = np.full(n, unclaimed, dtype=np.int64)
+    depth = 0
+    while frontier.size and (max_depth is None or depth < max_depth):
+        depth += 1
+        # The frontier's rows back to back, in frontier order (gathered
+        # through their ``adj`` positions, built in place to keep the level's
+        # temporaries few); ``slot`` is the index of each unreached touch in
+        # that sequence.
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        ends = np.cumsum(counts)
+        touched = np.repeat(starts - ends + counts, counts)
+        touched += np.arange(touched.size)
+        touched = adj[touched]
+        slot = np.flatnonzero(~seen[touched])
+        touched = touched[slot]
+        np.minimum.at(first, touched, slot)
+        wins = first[touched] == slot
+        first[touched] = unclaimed
+        claimed = touched[wins]
+        toucher = frontier[ends.searchsorted(slot[wins], side="right")]
+        seen[claimed] = True
+        parent[claimed] = toucher
+        level_root = root[toucher]
+        root[claimed] = level_root
+        dist[claimed] = depth
+        # Order the level by (root, v): one sort of the key root * n + v.
+        level_root *= n
+        level_root += claimed
+        level_root.sort()
+        frontier = level_root % n
+    return root, dist, parent
+
+
 def _np_hops(graph: Graph, source: int, max_depth: Optional[int] = None):
     """Dense ``numpy.int64`` hop counts from ``source`` (``-1`` if unreached)."""
     np = require_numpy()
-    order, _, bounds = compiled_bfs(graph, source, max_depth=max_depth)
+    order, _, bounds = compiled_bfs(graph.csr(), source, max_depth=max_depth)
     hops = np.full(graph.num_vertices, -1, dtype=np.int64)
     hops[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     return hops

@@ -28,7 +28,10 @@ the old topology.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, List, Tuple
+
+from ..kernels import require_numpy, use_numpy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .graph import Edge, Graph
@@ -69,15 +72,41 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: "Graph") -> "CSRGraph":
-        """Snapshot ``graph``'s current adjacency into flat arrays."""
+        """Snapshot ``graph``'s current adjacency into flat arrays.
+
+        On the vectorized tier the per-vertex sets are flattened in one
+        ``numpy.fromiter`` pass and every row is sorted at once by one sort
+        of the key ``row * n + col`` (``int32`` when ``n * n`` fits); the
+        buffers are byte-identical to the pure-Python assembly's.
+        """
         n = graph.num_vertices
         indptr = array("q", bytes(8 * (n + 1)))
+        if use_numpy(n):
+            return cls._from_graph_numpy(graph, indptr)
         adj = array("q")
         extend = adj.extend
         adjacency = graph._adj
         for v in range(n):
             extend(sorted(adjacency[v]))
             indptr[v + 1] = len(adj)
+        return cls(indptr, adj)
+
+    @classmethod
+    def _from_graph_numpy(cls, graph: "Graph", indptr: array) -> "CSRGraph":
+        np = require_numpy()
+        n = graph.num_vertices
+        adjacency = graph._adj
+        indptr_np = np.frombuffer(indptr, dtype=np.int64)
+        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+        np.cumsum(degrees, out=indptr_np[1:])
+        total = int(indptr_np[-1])
+        key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        key = np.fromiter(chain.from_iterable(adjacency), dtype=key_type, count=total)
+        key += np.repeat(np.arange(n, dtype=key_type) * n, degrees)
+        key.sort()
+        adj = array("q", [0]) * total  # no zero-bytes staging copy
+        if total:
+            np.remainder(key, n, out=np.frombuffer(adj, dtype=np.int64))
         return cls(indptr, adj)
 
     # ------------------------------------------------------------------
@@ -121,8 +150,6 @@ class CSRGraph:
     # Vectorized tier: zero-copy NumPy views and the scipy CSR matrix
     # ------------------------------------------------------------------
     def _numpy_views(self):
-        from ..kernels import require_numpy
-
         views = self._np_views
         if views is None:
             np = require_numpy()
@@ -164,7 +191,7 @@ class CSRGraph:
         """
         matrix = self._scipy
         if matrix is None:
-            from ..kernels import require_numpy, require_scipy_sparse
+            from ..kernels import require_scipy_sparse
 
             np = require_numpy()
             sparse = require_scipy_sparse()

@@ -33,7 +33,7 @@ def single_source_distances(graph: Graph, source: int) -> List[float]:
         raise ValueError(f"source {source} is out of range [0, {n})")
     if use_numpy(n):
         np = require_numpy()
-        order, _, bounds = compiled_bfs(graph, source)
+        order, _, bounds = compiled_bfs(graph.csr(), source)
         vec = np.full(n, np.inf)
         vec[order] = np.repeat(np.arange(len(bounds) - 1, dtype=np.float64), np.diff(bounds))
         # Cached vectors are shared by reference; freeze the numpy ones so a

@@ -9,8 +9,11 @@ queries, the stretch evaluator -- exist in two implementations:
 * a **vectorized** tier over zero-copy NumPy views of the same CSR buffers
   (``CSRGraph.indptr_np`` / ``adj_np``) whose single-source BFS sweeps run
   on ``scipy.sparse.csgraph``'s compiled BFS over the snapshot's cached
-  ``CSRGraph.scipy_csr()`` matrix (``int32`` index copies, ``float64`` data);
-  it is what pushes the capacity ladder to n >= 100k.
+  ``CSRGraph.scipy_csr()`` matrix (``int32`` index copies, ``float64`` data),
+  whose multi-source forests (:func:`repro.graphs.bfs.frontier_forest`) are
+  whole-array passes over the views, and which assembles the CSR snapshot
+  itself with one key sort; it is what pushes the capacity ladder to
+  n >= 100k.
 
 This module is the single switch deciding which one runs.  Selection rules:
 

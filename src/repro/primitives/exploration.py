@@ -29,15 +29,28 @@ Guarantees verified by the test-suite (Theorem 2.1 / Lemma A.1):
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..congest.errors import ProtocolFault, RoundLimitExceeded
 from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import Simulator
-from ..graphs.bfs import compiled_bfs
+from ..graphs.bfs import _flat_bfs_distances, compiled_bfs
 from ..kernels import require_numpy, use_numpy
 
 EXPLORE_TAG = "explore"
@@ -479,6 +492,41 @@ def _run_exploration_phases(
             program._next_send = 0
 
 
+class LazyParents(Mapping):
+    """Read-only ``center -> parent array`` mapping that sweeps on first access.
+
+    Iterating it yields every center, but a center's dense parent array is
+    only computed (by ``sweep(center)``, then cached) when it is read.
+    ``sweep`` is bound to the CSR snapshot taken at exploration time, so a
+    late read still describes the explored topology.
+    """
+
+    __slots__ = ("_centers", "_sweep", "_arrays")
+
+    def __init__(self, centers: List[int], sweep: Callable[[int], Sequence[int]]) -> None:
+        self._centers = centers
+        self._sweep = sweep
+        self._arrays: Dict[int, Sequence[int]] = {}
+
+    def __getitem__(self, center: int) -> Sequence[int]:
+        array = self._arrays.get(center)
+        if array is None:
+            if center not in self:
+                raise KeyError(center)
+            array = self._arrays[center] = self._sweep(center)
+        return array
+
+    def __contains__(self, center: object) -> bool:
+        index = bisect_left(self._centers, center)
+        return index < len(self._centers) and self._centers[index] == center
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._centers)
+
+    def __len__(self) -> int:
+        return len(self._centers)
+
+
 @dataclass
 class CenterExploration:
     """Flat-array exploration summary used by the centralized engine.
@@ -493,12 +541,13 @@ class CenterExploration:
     * ``parents[c]`` -- the BFS-tree parent of every vertex *toward* ``c``
       (``-1`` for unreached vertices, ``c`` for the root itself), with the
       same sorted-neighbour tie-breaking as :func:`centralized_bounded_exploration`'s
-      via-pointers; drives the shortest-path trace-back.  **Depth-1
-      explorations carry no parent arrays at all**: every trace-back path is
-      the single edge ``(initiator, target)``, which
-      :func:`~repro.primitives.traceback.centralized_traceback_flat` emits
-      directly -- skipping the dense arrays turns the phase-0 exploration
-      (all ``n`` vertices are centers) from O(n^2) into O(n + m).
+      via-pointers; drives the shortest-path trace-back.  It is a
+      :class:`LazyParents` mapping: a center's dense array is swept the first
+      time the trace-back reads it, so an exploration whose centers are
+      mostly popular (few or no interconnection targets) never pays one
+      O(n + m) array per center.  Depth 1 therefore needs no special case:
+      its trace-back emits each path as the direct edge
+      ``(initiator, target)`` and never reads a parent array.
 
     The full per-vertex knowledge of :func:`centralized_bounded_exploration`
     is a strict superset of this; the engine only ever reads the parts kept
@@ -508,7 +557,7 @@ class CenterExploration:
     near_centers: Dict[int, Sequence[int]]
     # Dense per-center parent arrays: Python lists on the pure backend,
     # ``numpy.int64`` arrays on the vectorized one (element-identical).
-    parents: Dict[int, Sequence[int]]
+    parents: LazyParents
     popular: Set[int]
     centers: List[int]
     depth: int
@@ -524,11 +573,18 @@ def centralized_engine_exploration(
 ) -> CenterExploration:
     """Exact per-center exploration in flat arrays (centralized engine hot path).
 
-    Runs one depth-bounded frontier sweep per center over the CSR snapshot
-    (on the vectorized tier, one compiled BFS cut at ``depth``), recording
-    only parent pointers (a dense array per center) and the centers
-    encountered.  Visit order matches :func:`centralized_bounded_exploration`
-    exactly, so the parent chains equal its via chains.
+    Past depth 1 the work is one full sweep per connected component that
+    holds a center, from its smallest center ``c0``: it yields the hop
+    counts ``hops0`` and the eccentricity ``ecc(c0)``.  By the triangle
+    inequality every vertex of the component lies within
+    ``hops0[c] + ecc(c0)`` of a center ``c``, so when that is at most
+    ``depth`` the ball of ``c`` is the whole component and its near centers
+    are all the component's other centers -- no sweep of its own.  Only the
+    centers failing that test get a depth-bounded sweep (on the vectorized
+    tier, one compiled BFS cut at ``depth``).  Parent arrays are swept
+    lazily (see :class:`CenterExploration`); their visit order matches
+    :func:`centralized_bounded_exploration` exactly, so the parent chains
+    equal its via chains.
     """
     n = graph.num_vertices
     center_list = sorted(set(centers))
@@ -540,69 +596,45 @@ def centralized_engine_exploration(
     if cap < 1:
         raise ValueError("cap (deg_i) must be >= 1")
 
-    near_centers: Dict[int, List[int]] = {}
-    parents: Dict[int, List[int]] = {}
-    all_centers = len(center_list) == n
+    csr = graph.csr()
+    if use_numpy(n):
+        component_sweep, parent_sweep, reached_among = (
+            _numpy_component, _numpy_parents, _numpy_reached
+        )
+    else:
+        component_sweep, parent_sweep, reached_among = (
+            _python_component, _python_parents, _python_reached
+        )
+    parents = LazyParents(center_list, lambda center: parent_sweep(csr, center, depth))
+    near_centers: Dict[int, Sequence[int]] = {}
+    is_center = bytearray(n)
+    for center in center_list:
+        is_center[center] = 1
     if depth == 1:
-        rows = graph.csr().rows()
         # Phase-0 shape: every ball is just the neighbour row (already
-        # sorted), so skip the frontier machinery entirely.  No parent arrays
-        # either: a depth-1 trace-back is the direct edge to the target, so
-        # materializing one dense array per center (O(n^2) when every vertex
-        # is a center) would be pure overhead.
-        if all_centers:
+        # sorted), so skip the frontier machinery entirely.
+        rows = csr.rows()
+        if len(center_list) == n:
             for center in center_list:
                 # Rows are sorted tuples; share them instead of copying (the
                 # CenterExploration contract declares the lists read-only).
                 near_centers[center] = rows[center]
         else:
-            is_center = bytearray(n)
-            for center in center_list:
-                is_center[center] = 1
             for center in center_list:
                 near_centers[center] = [v for v in rows[center] if is_center[v]]
-    elif use_numpy(n):
-        # One compiled BFS per center, cut at ``depth``: csgraph's FIFO sweep
-        # over sorted CSR rows picks the same first-toucher parents as the
-        # scalar loop below (see :func:`~repro.graphs.bfs.compiled_bfs`).
-        np = require_numpy()
-        centers_np = np.asarray(center_list, dtype=np.int64)
-        for center in center_list:
-            order, predecessors, _ = compiled_bfs(graph, center, max_depth=depth)
-            parent = np.full(n, -1, dtype=np.int64)
-            parent[order] = predecessors[order]
-            parent[center] = center
-            reached = centers_np[parent[centers_np] >= 0]
-            near_centers[center] = reached[reached != center].tolist()
-            parents[center] = parent
     else:
-        rows = graph.csr().rows()
-        for center in center_list:
-            # ``parent`` doubles as the visited marker: >= 0 means reached.
-            # A dense list beats a ball-local dict here (measured ~1.6x on
-            # depth-saturating balls): depth > 1 only happens past phase 0,
-            # where the center count has already collapsed, so the O(n)
-            # allocation per center is bounded.
-            parent = [-1] * n
-            parent[center] = center
-            frontier = [center]
-            d = 0
-            while frontier and d < depth:
-                d += 1
-                next_frontier: List[int] = []
-                push = next_frontier.append
-                for u in frontier:
-                    for v in rows[u]:
-                        if parent[v] < 0:
-                            parent[v] = u
-                            push(v)
-                frontier = next_frontier
-            # Centers are few past phase 0: scanning the (sorted) center list
-            # against the visited markers beats a per-visit membership test.
-            near_centers[center] = [
-                c for c in center_list if c != center and parent[c] >= 0
-            ]
-            parents[center] = parent
+        for c0 in center_list:
+            if c0 in near_centers:
+                continue
+            members, hops, eccentricity = component_sweep(graph, c0, is_center)
+            for index, center in enumerate(members):
+                if hops[index] + eccentricity <= depth:
+                    # The ball of ``center`` holds the whole component.
+                    near_centers[center] = members[:index] + members[index + 1:]
+                else:
+                    near_centers[center] = [
+                        c for c in reached_among(parents[center], members) if c != center
+                    ]
 
     popular = {center for center in center_list if len(near_centers[center]) >= cap}
     return CenterExploration(
@@ -614,6 +646,74 @@ def centralized_engine_exploration(
         cap=cap,
         nominal_rounds=1 + cap * depth,
     )
+
+
+def _python_component(graph, c0: int, is_center: bytearray):
+    """One full pure-Python sweep from ``c0`` over its component.
+
+    Returns the component's centers (sorted), their hop counts from ``c0``
+    and the eccentricity of ``c0``.
+    """
+    hops, order = _flat_bfs_distances(graph, (c0,))
+    members = sorted(v for v in order if is_center[v])
+    return members, [hops[c] for c in members], hops[order[-1]]
+
+
+def _python_parents(csr, center: int, depth: int) -> List[int]:
+    """Dense parent list toward ``center`` from a sweep cut at ``depth``."""
+    # ``parent`` doubles as the visited marker: >= 0 means reached.  A dense
+    # list beats a ball-local dict here (measured ~1.6x on depth-saturating
+    # balls), and only the trace-back's targets are ever swept.
+    rows = csr.rows()
+    parent = [-1] * len(rows)
+    parent[center] = center
+    frontier = [center]
+    d = 0
+    while frontier and d < depth:
+        d += 1
+        next_frontier: List[int] = []
+        push = next_frontier.append
+        for u in frontier:
+            for v in rows[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    push(v)
+        frontier = next_frontier
+    return parent
+
+
+def _python_reached(parent: List[int], members: List[int]) -> List[int]:
+    return [c for c in members if parent[c] >= 0]
+
+
+def _numpy_component(graph, c0: int, is_center: bytearray):
+    """:func:`_python_component` as one compiled sweep."""
+    np = require_numpy()
+    order, _, bounds = compiled_bfs(graph.csr(), c0)
+    positions = np.flatnonzero(np.frombuffer(is_center, dtype=np.uint8)[order])
+    by_id = np.argsort(order[positions])
+    hops = np.searchsorted(bounds, positions[by_id], side="right") - 1
+    return order[positions[by_id]].tolist(), hops.tolist(), len(bounds) - 2
+
+
+def _numpy_parents(csr, center: int, depth: int):
+    """:func:`_python_parents` as one compiled BFS cut at ``depth``.
+
+    csgraph's FIFO sweep over sorted CSR rows picks the loop's first-toucher
+    parents (see :func:`~repro.graphs.bfs.compiled_bfs`).
+    """
+    np = require_numpy()
+    order, predecessors, _ = compiled_bfs(csr, center, max_depth=depth)
+    parent = np.full(csr.num_vertices, -1, dtype=np.int64)
+    parent[order] = predecessors[order]
+    parent[center] = center
+    return parent
+
+
+def _numpy_reached(parent, members: List[int]) -> List[int]:
+    np = require_numpy()
+    members_np = np.asarray(members, dtype=np.int64)
+    return members_np[parent[members_np] >= 0].tolist()
 
 
 def centralized_bounded_exploration(

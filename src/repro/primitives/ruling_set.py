@@ -43,6 +43,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..congest.errors import ProtocolFault
 from ..congest.faults import FaultPlan, fresh_fault_counters
 from ..congest.simulator import Simulator
+from ..graphs.bfs import _flat_bfs_distances, frontier_forest
+from ..kernels import use_numpy
 from .bfs_forest import run_bfs_forest
 
 
@@ -96,6 +98,19 @@ def _digit_base(num_vertices: int, c: int) -> int:
     if num_vertices <= 1:
         return 2
     return max(2, math.ceil(num_vertices ** (1.0 / c)))
+
+
+def _checked_candidates(n: int, candidates: Iterable[int], q: int, c: int) -> List[int]:
+    """The sorted distinct candidates, after the checks both variants share."""
+    candidate_list = sorted(set(candidates))
+    for v in candidate_list:
+        if not 0 <= v < n:
+            raise ValueError(f"candidate {v} out of range")
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    return candidate_list
 
 
 def _digit_scan(
@@ -179,15 +194,7 @@ def run_ruling_set(
     """
     graph = simulator.graph
     n = graph.num_vertices
-    candidate_list = sorted(set(candidates))
-    for v in candidate_list:
-        if not 0 <= v < n:
-            raise ValueError(f"candidate {v} out of range")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if c < 1:
-        raise ValueError("c must be >= 1")
-
+    candidate_list = _checked_candidates(n, candidates, q, c)
     base = _digit_base(n, c)
     if fault_plan is None or not fault_plan.active:
         return _run_ruling_set_once(
@@ -292,20 +299,19 @@ def centralized_ruling_set(
     Produces exactly the same set as :func:`run_ruling_set` (the construction
     is deterministic), using centralized BFS instead of the simulator.
     """
-    from ..graphs.bfs import _flat_bfs_distances
-
     n = graph.num_vertices
-    candidate_list = sorted(set(candidates))
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    candidate_list = _checked_candidates(n, candidates, q, c)
     base = _digit_base(n, c)
 
     # The same shared digit scan as :func:`run_ruling_set`, with the
     # centralized BFS kernel doing the knock-outs.
+    vectorized = use_numpy(n)
+
     def knock_out(_position: int, _value: int, group: List[int]):
-        reached_dist, _ = _flat_bfs_distances(graph, group, max_depth=q)
+        if vectorized:
+            reached_dist = frontier_forest(graph.csr(), group, max_depth=q)[1]
+        else:
+            reached_dist, _ = _flat_bfs_distances(graph, group, max_depth=q)
         return lambda v: reached_dist[v] >= 0
 
     active = _digit_scan(n, candidate_list, base, c, knock_out)

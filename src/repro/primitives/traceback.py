@@ -290,9 +290,11 @@ def centralized_traceback_flat(
     Walks each requested ``initiator -> target`` shortest path along the
     target's dense parent array; the chains (and hence the produced edge
     set) are identical to :func:`centralized_traceback` over the exhaustive
-    knowledge maps.  Depth-1 explorations carry no parent arrays (see
-    :class:`~repro.primitives.exploration.CenterExploration`): each path is
-    the single edge ``(initiator, target)``, emitted directly.
+    knowledge maps.  Only the requested targets' parent arrays are read (the
+    mapping sweeps them lazily, see
+    :class:`~repro.primitives.exploration.CenterExploration`); at depth 1
+    none is: each path is the single edge ``(initiator, target)``, emitted
+    directly.
     """
     edges: Set[Tuple[int, int]] = set()
     add = edges.add

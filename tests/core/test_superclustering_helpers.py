@@ -40,6 +40,13 @@ class TestDeterministicForest:
         root, _dist, _parent = deterministic_forest(graph, [0, 4], 10)
         assert root[2] == 0
 
+    @pytest.mark.parametrize("source", [-1, 5, 99])
+    def test_out_of_range_source_rejected(self, source):
+        # A negative source would otherwise wrap around list (and numpy)
+        # indexing and grow a forest from vertex n - 1.
+        with pytest.raises(ValueError, match=f"source {source} is out of range"):
+            deterministic_forest(path_graph(5), [0, source], 2)
+
 
 class TestForestPathEdges:
     def test_path_edges_to_root(self, grid_5x5):

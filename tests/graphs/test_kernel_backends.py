@@ -5,8 +5,10 @@ not merely statistically equivalent ones -- because golden protocol counters
 and spanner digests are diffed bit-for-bit across snapshots.  These tests pin
 that contract on random workloads: every public kernel entry point (BFS
 distances, distance vectors/histograms, cluster-table bulk queries, stretch
-reports, the centralized exploration/trace-back pair, and a whole engine
-build) is run under both backends and the results compared with plain ``==``.
+reports, the centralized exploration/trace-back pair and its one-sweep-per-
+component shortcut, the multi-source forest and ruling-set sweeps, CSR
+assembly, and a whole engine build) is run under both backends and the
+results compared with plain ``==``.
 
 Also covered here: the :mod:`repro.kernels` selector rules, the zero-copy
 NumPy/SciPy CSR views and their invalidation through the ``Graph.version``
@@ -26,10 +28,13 @@ from repro.core.cluster_table import (
     flat_collections_partition_vertices,
 )
 from repro.core.parameters import StretchGuarantee
-from repro.graphs import Graph, gnp_random_graph
-from repro.graphs.bfs import bfs_distances
+from repro.core.superclustering import deterministic_forest
+from repro.graphs import CSRGraph, Graph, gnp_random_graph, grid_graph, path_graph
+from repro.graphs.bfs import bfs, bfs_distances
 from repro.graphs.distances import distance_histogram, single_source_distances
+from repro.primitives import exploration as exploration_module
 from repro.primitives.exploration import centralized_engine_exploration
+from repro.primitives.ruling_set import centralized_ruling_set
 from repro.primitives.traceback import centralized_traceback_flat
 
 pytestmark = pytest.mark.skipif(
@@ -275,6 +280,216 @@ class TestExplorationEquivalence:
         near, parents, popular = np_
         assert all(not near[c] for c in (1, 5, 9)) and not popular
         assert parents[5] == [5 if v == 5 else -1 for v in range(10)]
+
+
+def eager_parents(graph, centers, depth):
+    """Reference parent arrays: one sorted-neighbour BFS per center, cut at ``depth``."""
+    arrays = {}
+    for center in centers:
+        parent = bfs(graph, center, max_depth=depth).parent
+        arrays[center] = [
+            center if v == center else (-1 if p is None else p)
+            for v, p in enumerate(parent)
+        ]
+    return arrays
+
+
+def near_reference(graph, centers, depth):
+    near = {}
+    for center in centers:
+        ball = bfs_distances(graph, center, max_depth=depth)
+        near[center] = [c for c in sorted(centers) if c != center and c in ball]
+    return near
+
+
+@pytest.fixture()
+def sweeps(monkeypatch):
+    """Count the BFS sweeps of ``centralized_engine_exploration`` on either backend."""
+    counts = {"sweeps": 0}
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            counts["sweeps"] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("compiled_bfs", "_python_component", "_python_parents"):
+        monkeypatch.setattr(
+            exploration_module, name, counted(getattr(exploration_module, name))
+        )
+    return counts
+
+
+class TestExplorationShortcut:
+    """One sweep per component; per-center sweeps only where the test fails.
+
+    On ``path_graph(20)`` the smallest center 0 has eccentricity 19, so a
+    center ``c`` provably sees the whole path iff ``c + 19 <= depth``.
+    """
+
+    CENTERS = [0, 5, 10, 15, 19]
+
+    @pytest.mark.parametrize(
+        "depth,fallbacks",
+        [(40, 0), (25, 3), (10, len(CENTERS))],
+        ids=["all-pass", "some-fall-back", "none-pass"],
+    )
+    def test_near_centers_and_sweep_counts(self, kernel, sweeps, depth, fallbacks):
+        graph = path_graph(20)
+
+        def run():
+            before = sweeps["sweeps"]
+            exploration = centralized_engine_exploration(
+                graph, self.CENTERS, depth=depth, cap=2
+            )
+            near = {c: list(v) for c, v in exploration.near_centers.items()}
+            return near, exploration.popular, sweeps["sweeps"] - before
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_
+        near, _, swept = np_
+        assert near == near_reference(graph, self.CENTERS, depth)
+        assert swept == 1 + fallbacks
+
+    def test_components_with_centers_and_an_isolated_center(self, kernel, sweeps):
+        # Components {0..5} (a path), {6..11} (a cycle) and the isolated 12.
+        edges = [(v, v + 1) for v in range(5)]
+        edges += [(v, v + 1) for v in range(6, 11)] + [(11, 6)]
+        graph = Graph(14, edges)
+        centers = [1, 4, 6, 9, 12]
+
+        def run():
+            before = sweeps["sweeps"]
+            exploration = centralized_engine_exploration(graph, centers, depth=8, cap=1)
+            near = {c: list(v) for c, v in exploration.near_centers.items()}
+            lazy = sweeps["sweeps"] - before
+            parents = {c: list(v) for c, v in exploration.parents.items()}
+            return near, exploration.popular, lazy, parents
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_
+        near, popular, lazy, parents = np_
+        assert near == near_reference(graph, centers, 8)
+        assert near[12] == [] and popular == {1, 4, 6, 9}
+        assert lazy == 3  # one sweep per component, none per center
+        assert parents == eager_parents(graph, centers, 8)
+
+    @pytest.mark.parametrize("depth", [2, 3, 6])
+    def test_lazy_parents_equal_the_eager_arrays(self, kernel, sweeps, depth):
+        graph = workload(120, 0.03, seed=7)
+        centers = [0, 9, 25, 44, 71, 118]
+
+        def run():
+            exploration = centralized_engine_exploration(graph, centers, depth=depth, cap=3)
+            parents = exploration.parents
+            assert list(parents) == centers and len(parents) == len(centers)
+            assert 9 in parents and 10 not in parents
+            with pytest.raises(KeyError):
+                parents[10]
+            before = sweeps["sweeps"]
+            first = parents[9]
+            assert parents[9] is first  # swept once, then cached
+            assert sweeps["sweeps"] - before <= 1
+            return {c: list(v) for c, v in dict(parents.items()).items()}
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_ == eager_parents(graph, centers, depth)
+
+    def test_parents_describe_the_snapshot_taken_at_exploration_time(self, kernel):
+        graph = path_graph(6)
+
+        def run():
+            exploration = centralized_engine_exploration(graph.copy(), [0, 5], depth=9, cap=1)
+            return {c: list(v) for c, v in exploration.parents.items()}
+
+        def run_mutated():
+            copy = graph.copy()
+            exploration = centralized_engine_exploration(copy, [0, 5], depth=9, cap=1)
+            copy.add_edge(0, 5)
+            return {c: list(v) for c, v in exploration.parents.items()}
+
+        assert both_backends(kernel, run) == both_backends(kernel, run_mutated)
+
+
+class TestMultiSourceSweeps:
+    def test_forest_orders_each_level_by_root_then_vertex(self, kernel):
+        # Level 1 is discovered as [3, 8, 10] (root 0) and [5] (root 1);
+        # vertex 7 is touched by 10 (root 0) and 5 (root 1) and must pick
+        # root 0.  Level 2 is discovered as [20, 15, 7] but expands as
+        # [7, 15, 20], so 30 -- touched by 20 and 15 -- takes parent 15.
+        edges = [(0, 10), (1, 5), (10, 7), (5, 7), (0, 3), (0, 8), (3, 20), (8, 15)]
+        graph = Graph(31, edges + [(20, 30), (15, 30)])
+        py, np_ = both_backends(kernel, lambda: deterministic_forest(graph, [1, 0], 5))
+        assert py == np_
+        root, dist, parent = np_
+        assert (root[7], parent[7], dist[7]) == (0, 10, 2)
+        assert (root[30], parent[30], dist[30]) == (0, 15, 3)
+        assert root[29] is None and dist[29] is None and parent[0] is None
+
+    @pytest.mark.parametrize("depth", [1, 2, 4, 30])
+    def test_forest_ties_between_roots_match(self, kernel, depth):
+        grid = grid_graph(7, 7)
+        sources = [0, 6, 24, 42, 48, 17]
+        py, np_ = both_backends(kernel, lambda: deterministic_forest(grid, sources, depth))
+        assert py == np_
+        assert all(type(x) is int for x in np_[0] if x is not None)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forest_on_a_disconnected_random_graph(self, kernel, seed):
+        graph = workload(90, 0.03, seed)
+        py, np_ = both_backends(kernel, lambda: deterministic_forest(graph, [3, 40, 77], 6))
+        assert py == np_
+
+    @pytest.mark.parametrize("seed,q,c", [(0, 1, 2), (1, 2, 2), (2, 3, 3), (3, 6, 2)])
+    def test_ruling_set_matches(self, kernel, seed, q, c):
+        graph = workload(80, 0.05, seed)
+        candidates = list(range(0, 80, 3))
+
+        def run():
+            result = centralized_ruling_set(graph, candidates, q=q, c=c)
+            return sorted(result.ruling_set), result.nominal_rounds
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_
+
+    def test_bad_inputs_raise_the_same_errors(self, kernel):
+        graph = path_graph(5)
+
+        def errors():
+            messages = []
+            for call in (
+                lambda: deterministic_forest(graph, [-1], 2),
+                lambda: deterministic_forest(graph, [5], 2),
+                lambda: centralized_ruling_set(graph, [7], q=2, c=2),
+            ):
+                with pytest.raises(ValueError) as info:
+                    call()
+                messages.append(str(info.value))
+            return messages
+
+        py, np_ = both_backends(kernel, errors)
+        assert py == np_
+
+
+class TestCSRAssembly:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(0),
+            Graph(6),
+            Graph(9, [(1, 2), (2, 7), (7, 1), (4, 8)]),
+            workload(70, 0.08, seed=2),
+        ],
+        ids=["n0", "edgeless", "isolated-vertices", "gnp"],
+    )
+    def test_buffers_are_byte_identical(self, kernel, graph):
+        def run():
+            csr = CSRGraph.from_graph(graph)
+            return csr.indptr.typecode, csr.indptr.tobytes(), csr.adj.typecode, csr.adj.tobytes()
+
+        py, np_ = both_backends(kernel, run)
+        assert py == np_
 
 
 class TestEngineEquivalence:

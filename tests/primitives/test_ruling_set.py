@@ -79,6 +79,24 @@ class TestGuarantees:
 
 
 class TestDistributedMatchesCentralized:
+    @pytest.mark.parametrize(
+        "candidates,q,c,message",
+        [
+            ([1, 7], 2, 2, "candidate 7 out of range"),
+            ([-1, 2], 2, 2, "candidate -1 out of range"),
+            ([7], 0, 2, "candidate 7 out of range"),
+            ([1], 0, 2, "q must be >= 1"),
+            ([1], 2, 0, "c must be >= 1"),
+        ],
+    )
+    def test_both_engines_reject_bad_input_alike(self, candidates, q, c, message):
+        graph = path_graph(5)
+        with pytest.raises(ValueError) as centralized:
+            centralized_ruling_set(graph, candidates, q=q, c=c)
+        with pytest.raises(ValueError) as distributed:
+            run_ruling_set(Simulator(graph), candidates, q=q, c=c)
+        assert str(centralized.value) == str(distributed.value) == message
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_output(self, seed):
         graph = gnp_random_graph(35, 0.1, seed=seed)

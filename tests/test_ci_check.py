@@ -22,6 +22,7 @@ EXPECTED_STAGE_ORDER = [
     "lint (ruff)",
     "tier-1 tests",
     "tier-1 tests (pure-python kernel)",
+    "engine tests (numpy kernel)",
     "perfbench self-tests",
     "golden counters",
     "phase micro-benchmarks (quick mode)",
@@ -140,6 +141,24 @@ class TestStagePlan:
         pure = plan["tier-1 tests (pure-python kernel)"]
         assert pure[0] == "REPRO_KERNEL=python"
         assert "pytest" in pure
+
+    def test_numpy_engine_stage_pins_the_kernel_env(self, ci_check):
+        plan = dict(ci_check.stage_plan(_args(), "snap.json"))
+        stage = plan["engine tests (numpy kernel)"]
+        tests = ci_check.REPO_ROOT / "tests"
+        assert stage == [
+            "REPRO_KERNEL=numpy",
+            sys.executable,
+            "-m",
+            "pytest",
+            str(tests / "core"),
+            str(tests / "primitives"),
+            str(tests / "graphs"),
+            "-q",
+        ]
+        # Unlike the tier-1 stages it is not skipped under --fast.
+        fast = dict(ci_check.stage_plan(_args(fast=True), "snap.json"))
+        assert fast["engine tests (numpy kernel)"] == stage
 
     def test_numpy_capacity_stage_forces_the_kernel_flag(self, ci_check):
         plan = dict(ci_check.stage_plan(_args(), "snap.json"))
