@@ -26,7 +26,7 @@ import pytest
 from repro.core.cluster_table import ClusterTable
 from repro.core.interconnection import (
     count_interconnection_paths,
-    interconnection_requests_from_near,
+    interconnection_requests,
 )
 from repro.core.superclustering import (
     deterministic_forest,
@@ -90,7 +90,7 @@ def test_interconnection_phase(benchmark, phase_graph, phase_exploration):
     )
 
     def run():
-        requests = interconnection_requests_from_near(
+        requests = interconnection_requests(
             unclustered_centers, exploration.near_centers
         )
         edges = centralized_traceback_flat(exploration, requests)

@@ -13,10 +13,12 @@ Runs, in order (see :func:`stage_plan`):
    ``REPRO_KERNEL=python``: the tree must work without the vectorized
    NumPy/SciPy tier (an optional extra).  Also skipped under ``--fast``.
 4. ``engine tests (numpy kernel)`` -- ``python -m pytest tests/core
-   tests/primitives tests/graphs -q`` pinned to ``REPRO_KERNEL=numpy``: the
-   engine suite on the vectorized tier, which ``auto`` only selects from
-   ``kernels.AUTO_MIN_VERTICES`` vertices on (every test graph is smaller).
-   Runs under ``--fast`` too.
+   tests/primitives tests/graphs tests/baselines -q`` pinned to
+   ``REPRO_KERNEL=numpy``: the engine suite on the vectorized tier, which
+   ``auto`` only selects from ``kernels.AUTO_MIN_VERTICES`` vertices on
+   (every test graph is smaller).  The baselines are in it because the
+   Elkin'05 surrogate runs the vectorized exploration and trace-back.  Runs
+   under ``--fast`` too.
 5. ``perfbench self-tests`` -- ``python -m pytest perfbench/tests -q``: the
    benchmark's own checks (statistics, the comparison gate, the
    workload-validity gate, the traced run).  The traced run wraps
@@ -107,7 +109,7 @@ QUICK_DYNAMIC_TASK_TIMEOUT = "120"
 QUICK_SERVE_REQUESTS = "200"
 
 #: The engine suite (under ``tests/``) that the numpy-kernel stage runs.
-ENGINE_TEST_DIRS = ("core", "primitives", "graphs")
+ENGINE_TEST_DIRS = ("core", "primitives", "graphs", "baselines")
 
 
 @dataclass

@@ -12,7 +12,6 @@ from .cluster_table import (
     FlatClusters,
     flat_collections_partition_vertices,
 )
-from .clusters import Cluster, ClusterCollection, collections_partition_vertices
 from .centralized import build_spanner_centralized
 from .distributed import build_spanner_distributed
 from .interconnection import (
@@ -38,8 +37,6 @@ from .spanner import (
     make_parameters,
 )
 from .superclustering import (
-    SuperclusteringOutcome,
-    build_superclusters,
     deterministic_forest,
     forest_path_edges,
     spanned_center_roots,
@@ -47,8 +44,6 @@ from .superclustering import (
 
 __all__ = [
     "CONCLUDING_STAGE",
-    "Cluster",
-    "ClusterCollection",
     "ClusterHandle",
     "ClusterTable",
     "FlatClusters",
@@ -68,12 +63,9 @@ __all__ = [
     "SpannerParameters",
     "SpannerResult",
     "StretchGuarantee",
-    "SuperclusteringOutcome",
     "build_spanner",
     "build_spanner_centralized",
     "build_spanner_distributed",
-    "build_superclusters",
-    "collections_partition_vertices",
     "count_interconnection_paths",
     "deterministic_forest",
     "forest_path_edges",

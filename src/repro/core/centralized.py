@@ -1,41 +1,31 @@
 """Centralized reference engine for the deterministic spanner construction.
 
-This engine executes *exactly* the same phase logic as the distributed engine
-(:mod:`repro.core.distributed`) -- the same popular-cluster detection, the
-same digit-by-digit ruling set, the same deterministic BFS forest and the same
-interconnection rule -- but with global knowledge instead of message passing.
-It is therefore fast enough to run on graphs with thousands of vertices and is
-used for cross-validating the distributed engine, for property-based testing
-and for the larger benchmark sweeps.
+This engine runs the shared phase loop (:func:`repro.core.phases.run_phases`)
+with global knowledge instead of message passing: Algorithm 1 is an exact
+flat-array exploration, the ruling set and the BFS forest are computed
+directly with the distributed protocols' tie-breaking, and the trace-back
+walks dense parent arrays.  It is therefore fast enough to run on graphs with
+thousands of vertices and is used for cross-validating the distributed
+engine, for property-based testing and for the larger benchmark sweeps.
 
-Cluster bookkeeping runs on the flat-array
-:class:`~repro.core.cluster_table.ClusterTable`: membership is a dense
-``cluster_of`` array, the superclustering step is one batched merge/retire
-sweep, and the per-phase history snapshots are frozen
-:class:`~repro.core.cluster_table.FlatClusters` views.
-
-The nominal CONGEST round counts recorded in the phase records are computed
-from the same formulas the distributed engine charges to its ledger, so both
-engines report comparable round figures.
+Both engines agree on every popular set, ruling set, cluster collection,
+interconnection pair and nominal round count; their spanners may differ by
+trace-back tie-breaking: both trace shortest paths, but a simulated
+via-pointer names the neighbour whose message arrived first, not necessarily
+the BFS-tree parent the centralized trace-back walks.  The nominal rounds come
+from the loop's one formula, which is what the simulated protocols charge to
+their ledger.
 """
 
 from __future__ import annotations
-
-from typing import List, Set
 
 from ..graphs.graph import Graph
 from ..primitives.exploration import centralized_engine_exploration
 from ..primitives.ruling_set import centralized_ruling_set
 from ..primitives.traceback import centralized_traceback_flat
-from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-from .cluster_table import ClusterTable, FlatClusters
-from .interconnection import (
-    count_interconnection_paths,
-    flatten_requests,
-    interconnection_requests_from_near,
-)
 from .parameters import SpannerParameters
-from .result import PhaseRecord, SpannerResult
+from .phases import run_phases
+from .result import SpannerResult
 from .superclustering import (
     deterministic_forest,
     forest_path_edges,
@@ -43,106 +33,33 @@ from .superclustering import (
 )
 
 
+class CentralizedSteps:
+    """The phase steps computed directly on ``graph``."""
+
+    engine = "centralized"
+    ledger = None
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+
+    def explore(self, i, centers, delta, degree):
+        return centralized_engine_exploration(self.graph, centers, delta, degree)
+
+    def ruling_set(self, i, popular, q, c):
+        return centralized_ruling_set(self.graph, popular, q=q, c=c)
+
+    def supercluster(self, i, ruling_set, depth, centers):
+        root, _dist, parent = deterministic_forest(self.graph, ruling_set, depth)
+        center_root = spanned_center_roots(centers, root)
+        return center_root, forest_path_edges(parent, sorted(center_root))
+
+    def interconnect(self, i, exploration, requests):
+        return centralized_traceback_flat(exploration, requests)
+
+    def simulated_rounds(self) -> int:
+        return 0
+
+
 def build_spanner_centralized(graph: Graph, parameters: SpannerParameters) -> SpannerResult:
     """Run the full deterministic construction with the centralized engine."""
-    n = graph.num_vertices
-    spanner = Graph(n)
-    certificate = SpannerCertificate()
-    table = ClusterTable.singletons(n)
-    cluster_history: List[FlatClusters] = [table.snapshot()]
-    unclustered_history: List[FlatClusters] = []
-    phase_records: List[PhaseRecord] = []
-    radius_bounds = parameters.radius_bounds()
-    c = parameters.domination_multiplier
-
-    for i in parameters.phases():
-        delta = parameters.delta(i)
-        degree = parameters.degree_threshold(i, n)
-        centers = table.centers()
-        nominal_rounds = 0
-
-        exploration = centralized_engine_exploration(graph, centers, delta, degree)
-        nominal_rounds += exploration.nominal_rounds
-        popular = exploration.popular
-
-        ruling_set: Set[int] = set()
-        spanned_centers: List[int] = []
-        superclustering_edges = 0
-        forest_edge_count = 0
-        if i < parameters.ell:
-            if popular:
-                rs_result = centralized_ruling_set(
-                    graph, popular, q=parameters.ruling_set_q(i), c=c
-                )
-                ruling_set = rs_result.ruling_set
-                nominal_rounds += rs_result.nominal_rounds
-                root, _dist, parent = deterministic_forest(
-                    graph, ruling_set, parameters.superclustering_depth(i)
-                )
-                center_root = spanned_center_roots(centers, root)
-                spanned_centers = sorted(center_root)
-                forest_edges = forest_path_edges(parent, spanned_centers)
-                forest_edge_count = len(forest_edges)
-                superclustering_edges = certificate.record(
-                    forest_edges, i, SUPERCLUSTERING_STEP
-                )
-                spanner.add_edges(forest_edges)
-                unclustered = table.supercluster(center_root)
-            else:
-                unclustered = table.retire_all()
-            nominal_rounds += 2 * parameters.superclustering_depth(i)
-        else:
-            # Concluding phase: the superclustering step is skipped entirely.
-            unclustered = table.retire_all()
-
-        requests = interconnection_requests_from_near(
-            unclustered.centers(), exploration.near_centers
-        )
-        interconnection_edges_set = centralized_traceback_flat(exploration, requests)
-        interconnection_edges = certificate.record(
-            interconnection_edges_set, i, INTERCONNECTION_STEP
-        )
-        spanner.add_edges(interconnection_edges_set)
-        nominal_rounds += degree * delta
-
-        phase_records.append(
-            PhaseRecord(
-                index=i,
-                stage=parameters.stage(i),
-                delta=delta,
-                degree_threshold=degree,
-                num_clusters=len(centers),
-                num_popular=len(popular),
-                ruling_set_size=len(ruling_set),
-                num_superclustered=len(spanned_centers),
-                num_unclustered=len(unclustered),
-                superclustering_edges=superclustering_edges,
-                interconnection_edges=interconnection_edges,
-                interconnection_paths=count_interconnection_paths(requests),
-                radius_bound=radius_bounds[i],
-                nominal_rounds=nominal_rounds,
-                simulated_rounds=0,
-                clusters_out=table.num_active,
-                cluster_merges=len(spanned_centers),
-                forest_edges=forest_edge_count,
-                popular_centers=sorted(popular),
-                ruling_set=sorted(ruling_set),
-                superclustered_centers=list(spanned_centers),
-                interconnection_pairs=flatten_requests(requests),
-            )
-        )
-        unclustered_history.append(unclustered)
-        if i < parameters.ell:
-            cluster_history.append(table.snapshot())
-
-    return SpannerResult(
-        graph=graph,
-        spanner=spanner,
-        parameters=parameters,
-        engine="centralized",
-        phase_records=phase_records,
-        cluster_history=cluster_history,
-        unclustered_history=unclustered_history,
-        certificate=certificate,
-        ledger=None,
-    )
+    return run_phases(graph, parameters, CentralizedSteps(graph))

@@ -3,13 +3,9 @@
 The superclustering/interconnection phases (paper Sections 2.2-2.3) reduce to
 repeated maintenance of a *partition of a subset of V into clusters*: phase
 ``i`` receives ``P_i``, merges the spanned clusters into superclusters
-(``P_{i+1}``) and retires the rest (``U_i``).  The historical implementation
-carried this as sets of ``frozenset``-based :class:`~repro.core.clusters.Cluster`
-objects -- exactly the per-vertex set/dict traversal style the flat-array
-hot-path contract (ROADMAP, "Performance architecture") bans from the build
-path.
-
-This module replaces it with two array-backed structures:
+(``P_{i+1}``) and retires the rest (``U_i``).  The frozenset-based form of
+that bookkeeping survives only as the test oracle (``tests/oracles.py``);
+the build path carries two array-backed structures:
 
 * :class:`ClusterTable` -- the *mutable* partition the engines carry across
   phases: a dense ``cluster_of[v]`` membership array plus parallel per-slot
@@ -21,16 +17,14 @@ This module replaces it with two array-backed structures:
 * :class:`FlatClusters` -- the *frozen* snapshot recorded in result histories
   (one ``P_i`` or ``U_i``): a compact ``cluster_of`` array (vertex -> local
   cluster index), parallel center tuple and CSR-style member lists
-  (``indptr``/``members``).  It is API-compatible with the legacy
-  :class:`~repro.core.clusters.ClusterCollection` accessors the analysis
+  (``indptr``/``members``).  It offers the collection accessors the analysis
   layer uses (``len``, iteration, ``centers()``, ``vertex_to_center()``,
-  ``max_radius_in()``, ``summary()``), but every bulk query is an array
+  ``max_radius_in()``, ``summary()``), and every bulk query is an array
   sweep.
 
-:class:`~repro.core.clusters.Cluster` objects are only materialized at API
-boundaries (iteration hands out :class:`ClusterHandle` proxies whose
-``vertices`` property builds a ``frozenset`` on demand); nothing on the build
-hot path allocates them.
+Iteration hands out :class:`ClusterHandle` proxies whose ``vertices``
+property builds a ``frozenset`` on demand; nothing on the build hot path
+allocates one.
 """
 
 from __future__ import annotations
@@ -81,7 +75,7 @@ def _np_members_radius(graph: Graph, center: int, members) -> int:
 class ClusterHandle:
     """Read-only view of one cluster inside a :class:`FlatClusters` snapshot.
 
-    Quacks like the legacy :class:`~repro.core.clusters.Cluster` (``center``,
+    Offers the ``Cluster`` accessors of the test oracle (``center``,
     ``vertices``, ``size``, containment, ``radius_in``) without owning any
     vertex set: all data lives in the parent snapshot's flat arrays.
     """
@@ -152,9 +146,8 @@ class ClusterHandle:
 class FlatClusters:
     """A frozen, array-backed cluster collection (one ``P_i`` or ``U_i``).
 
-    Clusters are indexed ``0..k-1`` in ascending center order (the order the
-    legacy :class:`~repro.core.clusters.ClusterCollection` produced for every
-    collection the engines build).  Storage is three flat buffers:
+    Clusters are indexed ``0..k-1`` in ascending center order.  Storage is
+    three flat buffers:
 
     * ``cluster_of[v]`` -- local cluster index of vertex ``v``, or ``-1``;
     * ``centers[i]`` -- center vertex of cluster ``i`` (ascending);
@@ -245,7 +238,7 @@ class FlatClusters:
         return self._centers[index]
 
     # ------------------------------------------------------------------
-    # ClusterCollection-compatible accessors
+    # Collection accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._centers)

@@ -6,7 +6,8 @@ forest-path mark-up and the interconnection trace-back -- runs as a genuine
 message-passing protocol on :class:`repro.congest.Simulator`, with per-edge
 bandwidth auditing.  The phase orchestration (which protocol runs next, with
 which parameters) requires no communication: it is a fixed schedule computable
-from ``n`` and the parameters, which every vertex knows.
+from ``n`` and the parameters, which every vertex knows, and is the loop
+shared with the centralized engine (:func:`repro.core.phases.run_phases`).
 
 Cluster membership bookkeeping (which vertices belong to which supercluster)
 is carried driver-side in a flat-array
@@ -19,7 +20,7 @@ any communication (see DESIGN.md, substitution 1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional
 
 from ..congest.simulator import Simulator
 from ..graphs.graph import Graph
@@ -27,16 +28,51 @@ from ..primitives.bfs_forest import run_bfs_forest
 from ..primitives.exploration import run_bounded_exploration
 from ..primitives.ruling_set import run_ruling_set
 from ..primitives.traceback import run_forest_path_markup, run_traceback
-from .certificate import INTERCONNECTION_STEP, SUPERCLUSTERING_STEP, SpannerCertificate
-from .cluster_table import ClusterTable, FlatClusters
-from .interconnection import (
-    count_interconnection_paths,
-    flatten_requests,
-    interconnection_requests,
-)
 from .parameters import SpannerParameters
-from .result import PhaseRecord, SpannerResult
+from .phases import run_phases
+from .result import SpannerResult
 from .superclustering import spanned_center_roots
+
+
+class DistributedSteps:
+    """The phase steps as message-passing protocols on one simulator."""
+
+    engine = "distributed"
+
+    def __init__(self, simulator: Simulator) -> None:
+        self.simulator = simulator
+        self.ledger = simulator.ledger
+
+    def explore(self, i, centers, delta, degree):
+        return run_bounded_exploration(
+            self.simulator, centers, depth=delta, cap=degree, label=f"phase{i}:explore"
+        )
+
+    def ruling_set(self, i, popular, q, c):
+        return run_ruling_set(self.simulator, popular, q=q, c=c, label=f"phase{i}:ruling-set")
+
+    def supercluster(self, i, ruling_set, depth, centers):
+        forest = run_bfs_forest(
+            self.simulator,
+            ruling_set,
+            depth=depth,
+            label=f"phase{i}:forest",
+            collect_node_results=False,
+        )
+        center_root = spanned_center_roots(centers, forest.root)
+        markup = run_forest_path_markup(
+            self.simulator, forest, sorted(center_root), label=f"phase{i}:markup"
+        )
+        return center_root, markup.edges
+
+    def interconnect(self, i, exploration, requests):
+        # The trace-back's nominal cost defaults to deg_i * delta_i.
+        return run_traceback(
+            self.simulator, exploration, requests, label=f"phase{i}:interconnect"
+        ).edges
+
+    def simulated_rounds(self) -> int:
+        return self.ledger.simulated_rounds
 
 
 def build_spanner_distributed(
@@ -54,117 +90,4 @@ def build_spanner_distributed(
         simulator = Simulator(graph, strict_congestion=True)
     elif simulator.graph is not graph:
         raise ValueError("the simulator must be built over the same graph")
-
-    n = graph.num_vertices
-    spanner = Graph(n)
-    certificate = SpannerCertificate()
-    table = ClusterTable.singletons(n)
-    cluster_history: List[FlatClusters] = [table.snapshot()]
-    unclustered_history: List[FlatClusters] = []
-    phase_records: List[PhaseRecord] = []
-    radius_bounds = parameters.radius_bounds()
-    c = parameters.domination_multiplier
-
-    for i in parameters.phases():
-        delta = parameters.delta(i)
-        degree = parameters.degree_threshold(i, n)
-        centers = table.centers()
-        ledger_nominal_before = simulator.ledger.nominal_rounds
-        ledger_simulated_before = simulator.ledger.simulated_rounds
-
-        exploration = run_bounded_exploration(
-            simulator, centers, depth=delta, cap=degree, label=f"phase{i}:explore"
-        )
-        popular = exploration.popular
-
-        ruling_set: Set[int] = set()
-        spanned_centers: List[int] = []
-        superclustering_edges = 0
-        forest_edge_count = 0
-        if i < parameters.ell:
-            if popular:
-                rs_result = run_ruling_set(
-                    simulator,
-                    popular,
-                    q=parameters.ruling_set_q(i),
-                    c=c,
-                    label=f"phase{i}:ruling-set",
-                )
-                ruling_set = rs_result.ruling_set
-                forest = run_bfs_forest(
-                    simulator,
-                    ruling_set,
-                    depth=parameters.superclustering_depth(i),
-                    label=f"phase{i}:forest",
-                    collect_node_results=False,
-                )
-                center_root = spanned_center_roots(centers, forest.root)
-                spanned_centers = sorted(center_root)
-                markup = run_forest_path_markup(
-                    simulator, forest, spanned_centers, label=f"phase{i}:markup"
-                )
-                forest_edge_count = len(markup.edges)
-                superclustering_edges = certificate.record(
-                    markup.edges, i, SUPERCLUSTERING_STEP
-                )
-                spanner.add_edges(markup.edges)
-                unclustered = table.supercluster(center_root)
-            else:
-                unclustered = table.retire_all()
-        else:
-            unclustered = table.retire_all()
-
-        requests = interconnection_requests(unclustered.centers(), exploration)
-        traceback = run_traceback(
-            simulator,
-            exploration,
-            requests,
-            label=f"phase{i}:interconnect",
-            nominal_rounds=degree * delta,
-        )
-        interconnection_edges = certificate.record(
-            traceback.edges, i, INTERCONNECTION_STEP
-        )
-        spanner.add_edges(traceback.edges)
-
-        phase_records.append(
-            PhaseRecord(
-                index=i,
-                stage=parameters.stage(i),
-                delta=delta,
-                degree_threshold=degree,
-                num_clusters=len(centers),
-                num_popular=len(popular),
-                ruling_set_size=len(ruling_set),
-                num_superclustered=len(spanned_centers),
-                num_unclustered=len(unclustered),
-                superclustering_edges=superclustering_edges,
-                interconnection_edges=interconnection_edges,
-                interconnection_paths=count_interconnection_paths(requests),
-                radius_bound=radius_bounds[i],
-                nominal_rounds=simulator.ledger.nominal_rounds - ledger_nominal_before,
-                simulated_rounds=simulator.ledger.simulated_rounds - ledger_simulated_before,
-                clusters_out=table.num_active,
-                cluster_merges=len(spanned_centers),
-                forest_edges=forest_edge_count,
-                popular_centers=sorted(popular),
-                ruling_set=sorted(ruling_set),
-                superclustered_centers=list(spanned_centers),
-                interconnection_pairs=flatten_requests(requests),
-            )
-        )
-        unclustered_history.append(unclustered)
-        if i < parameters.ell:
-            cluster_history.append(table.snapshot())
-
-    return SpannerResult(
-        graph=graph,
-        spanner=spanner,
-        parameters=parameters,
-        engine="distributed",
-        phase_records=phase_records,
-        cluster_history=cluster_history,
-        unclustered_history=unclustered_history,
-        certificate=certificate,
-        ledger=simulator.ledger,
-    )
+    return run_phases(graph, parameters, DistributedSteps(simulator))

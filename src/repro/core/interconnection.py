@@ -9,52 +9,32 @@ back and adds their edges to the spanner.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
-
-from ..primitives.exploration import ExplorationResult
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 
 def interconnection_requests(
     unclustered_centers: Iterable[int],
-    exploration: ExplorationResult,
-) -> Dict[int, List[int]]:
+    near_centers: Mapping[int, Sequence[int]],
+) -> Dict[int, Sequence[int]]:
     """Build the trace-back request map for the interconnection step.
 
     For every center ``r_C`` of an unclustered cluster, the targets are all
-    centers it learned about during Algorithm 1 (excluding itself).  Because
-    unclustered clusters are never popular (Lemma 2.4), Theorem 2.1 guarantees
-    this is exactly the set of centers within ``delta_i``.
-    """
-    requests: Dict[int, List[int]] = {}
-    known_dist = exploration.known_dist
-    for center in unclustered_centers:
-        targets = [c for c in known_dist[center] if c != center]
-        targets.sort()
-        requests[center] = targets
-    return requests
-
-
-def interconnection_requests_from_near(
-    unclustered_centers: Iterable[int],
-    near_centers: Dict[int, List[int]],
-) -> Dict[int, List[int]]:
-    """Flat-array variant of :func:`interconnection_requests`.
-
-    ``near_centers`` maps every center to the sorted list of other centers
-    within ``delta_i`` (a :class:`~repro.primitives.exploration.CenterExploration`
-    field), which is exactly the target list the exhaustive knowledge map
-    would produce.  The lists are shared, not copied -- treat them as
-    read-only.
+    other centers it learned about during Algorithm 1: ``near_centers`` maps
+    a center to that sorted list (the ``near_centers`` view of either
+    engine's exploration outcome).  Because unclustered clusters are never
+    popular (Lemma 2.4), Theorem 2.1 guarantees this is exactly the set of
+    centers within ``delta_i``.  The lists are shared, not copied -- treat
+    them as read-only.
     """
     return {center: near_centers[center] for center in unclustered_centers}
 
 
-def count_interconnection_paths(requests: Dict[int, List[int]]) -> int:
+def count_interconnection_paths(requests: Mapping[int, Sequence[int]]) -> int:
     """Total number of center-to-center paths the step will add."""
     return sum(len(targets) for targets in requests.values())
 
 
-def flatten_requests(requests: Dict[int, List[int]]) -> List[tuple]:
+def flatten_requests(requests: Mapping[int, Sequence[int]]) -> List[tuple]:
     """The request map as a flat, deterministically ordered pair list.
 
     This is the ``interconnection_pairs`` representation stored in the phase

@@ -6,9 +6,7 @@ algorithm registry), verify its guarantee on sampled pairs, and collect the
 measurements that populate the experiment rows.
 
 :func:`measure_algorithm` is the registry-driven entry point every scenario
-task uses; :func:`measure_deterministic` / :func:`measure_baseline` are the
-historical direct-call forms, kept for scripts that hold a
-:class:`SpannerParameters` or a builder closure.
+task uses.
 """
 
 from __future__ import annotations
@@ -16,14 +14,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..algorithms import RunResult, get_spec
 from ..analysis.stretch import evaluate_stretch, evaluate_stretch_sampled
-from ..baselines.base import BaselineResult
-from ..core.parameters import SpannerParameters
-from ..core.result import SpannerResult
-from ..core.spanner import build_spanner
 from ..graphs.graph import Graph
 
 
@@ -134,74 +128,6 @@ def measure_algorithm(
         extra=extra,
     )
     return measurement, run
-
-
-def measure_deterministic(
-    graph: Graph,
-    parameters: SpannerParameters,
-    graph_name: str = "graph",
-    engine: str = "centralized",
-    sample_pairs: int = 400,
-    seed: int = 0,
-) -> Tuple[Measurement, SpannerResult]:
-    """Run the paper's deterministic algorithm and measure it."""
-    start = time.perf_counter()
-    result = build_spanner(graph, parameters=parameters, engine=engine)
-    elapsed = time.perf_counter() - start
-    guarantee = parameters.stretch_bound()
-    stretch = _stretch_for(graph, result.spanner, sample_pairs, seed, guarantee)
-    measurement = Measurement(
-        algorithm=f"new-deterministic ({engine})",
-        graph_name=graph_name,
-        num_vertices=graph.num_vertices,
-        num_graph_edges=graph.num_edges,
-        num_spanner_edges=result.num_edges,
-        nominal_rounds=result.nominal_rounds,
-        multiplicative_bound=guarantee.multiplicative,
-        additive_bound=guarantee.additive,
-        measured_max_multiplicative=stretch.max_multiplicative,
-        measured_max_additive=stretch.max_additive_surplus,
-        guarantee_satisfied=stretch.satisfies_guarantee,
-        wall_seconds=elapsed,
-        extra={
-            "superclustering_edges": result.edges_by_step().get("superclustering", 0),
-            "interconnection_edges": result.edges_by_step().get("interconnection", 0),
-        },
-    )
-    return measurement, result
-
-
-def measure_baseline(
-    graph: Graph,
-    builder: Callable[[], BaselineResult],
-    graph_name: str = "graph",
-    sample_pairs: int = 400,
-    seed: int = 0,
-) -> Tuple[Measurement, BaselineResult]:
-    """Run a baseline construction and measure it."""
-    start = time.perf_counter()
-    baseline = builder()
-    elapsed = time.perf_counter() - start
-    try:
-        guarantee = baseline.effective_guarantee()
-    except ValueError:
-        guarantee = None
-    stretch = _stretch_for(graph, baseline.spanner, sample_pairs, seed, guarantee)
-    measurement = Measurement(
-        algorithm=baseline.name,
-        graph_name=graph_name,
-        num_vertices=graph.num_vertices,
-        num_graph_edges=graph.num_edges,
-        num_spanner_edges=baseline.num_edges,
-        nominal_rounds=baseline.nominal_rounds,
-        multiplicative_bound=guarantee.multiplicative if guarantee else None,
-        additive_bound=guarantee.additive if guarantee else None,
-        measured_max_multiplicative=stretch.max_multiplicative,
-        measured_max_additive=stretch.max_additive_surplus,
-        guarantee_satisfied=stretch.satisfies_guarantee,
-        wall_seconds=elapsed,
-    )
-    return measurement, baseline
 
 
 def _stretch_for(graph, spanner, sample_pairs, seed, guarantee):

@@ -145,7 +145,7 @@ def scaling_spec(
         workload_keys=("family", "size", "workload_seed"),
         task=scaling_task,
         merge=scaling_merge,
-        version="2",
+        version="3",
     )
 
 

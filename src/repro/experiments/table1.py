@@ -246,7 +246,7 @@ def table1_spec(
         workload_keys=("family", "size", "workload_seed", "edge_probability"),
         task=table1_task,
         merge=table1_merge,
-        version="2",
+        version="3",
     )
 
 

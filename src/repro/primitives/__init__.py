@@ -13,7 +13,6 @@ from .exploration import (
     CenterExploration,
     ExplorationResult,
     KnownCenter,
-    centralized_bounded_exploration,
     centralized_engine_exploration,
     run_bounded_exploration,
 )
@@ -27,8 +26,6 @@ from .ruling_set import (
 )
 from .traceback import (
     TracebackResult,
-    centralized_forest_markup,
-    centralized_traceback,
     centralized_traceback_flat,
     run_forest_path_markup,
     run_traceback,
@@ -45,11 +42,8 @@ __all__ = [
     "MSFResult",
     "RulingSetResult",
     "TracebackResult",
-    "centralized_bounded_exploration",
     "centralized_engine_exploration",
-    "centralized_forest_markup",
     "centralized_ruling_set",
-    "centralized_traceback",
     "centralized_traceback_flat",
     "count_vertices",
     "forest_membership",

@@ -98,6 +98,9 @@ class ExplorationResult:
         The parameters ``delta_i`` and ``deg_i``.
     nominal_rounds:
         ``1 + cap * depth`` -- the scheduled number of rounds.
+    near_centers:
+        Center -> the sorted other centers it learned about (lazy, see
+        :class:`LazyCenterMap`); the interconnection requests read it.
     """
 
     __slots__ = (
@@ -113,6 +116,7 @@ class ExplorationResult:
         "fault_counters",
         "attempts",
         "_known",
+        "_near_centers",
     )
 
     def __init__(
@@ -141,6 +145,7 @@ class ExplorationResult:
         self.fault_counters = fault_counters
         self.attempts = attempts
         self._known: Optional[List[Dict[int, KnownCenter]]] = None
+        self._near_centers: Optional[LazyCenterMap] = None
 
     @property
     def known(self) -> List[Dict[int, KnownCenter]]:
@@ -155,6 +160,17 @@ class ExplorationResult:
                 for dist_v, via_v in zip(self.known_dist, known_via)
             ]
         return self._known
+
+    @property
+    def near_centers(self) -> "LazyCenterMap":
+        """``near_centers[c]``: the other centers center ``c`` knows, sorted."""
+        if self._near_centers is None:
+            known_dist = self.known_dist
+            self._near_centers = LazyCenterMap(
+                self.centers,
+                lambda center: sorted(c for c in known_dist[center] if c != center),
+            )
+        return self._near_centers
 
     def known_centers(self, v: int) -> List[int]:
         """Centers known to ``v``, sorted."""
@@ -492,29 +508,29 @@ def _run_exploration_phases(
             program._next_send = 0
 
 
-class LazyParents(Mapping):
-    """Read-only ``center -> parent array`` mapping that sweeps on first access.
+class LazyCenterMap(Mapping):
+    """Read-only ``center -> value`` mapping that computes on first access.
 
-    Iterating it yields every center, but a center's dense parent array is
-    only computed (by ``sweep(center)``, then cached) when it is read.
-    ``sweep`` is bound to the CSR snapshot taken at exploration time, so a
-    late read still describes the explored topology.
+    Iterating it yields every center, but a center's value is only computed
+    (by ``compute(center)``, then cached) when it is read.  The centralized
+    engine's parent arrays bind ``compute`` to the CSR snapshot taken at
+    exploration time, so a late read still describes the explored topology.
     """
 
-    __slots__ = ("_centers", "_sweep", "_arrays")
+    __slots__ = ("_centers", "_compute", "_values")
 
-    def __init__(self, centers: List[int], sweep: Callable[[int], Sequence[int]]) -> None:
+    def __init__(self, centers: List[int], compute: Callable[[int], Sequence[int]]) -> None:
         self._centers = centers
-        self._sweep = sweep
-        self._arrays: Dict[int, Sequence[int]] = {}
+        self._compute = compute
+        self._values: Dict[int, Sequence[int]] = {}
 
     def __getitem__(self, center: int) -> Sequence[int]:
-        array = self._arrays.get(center)
-        if array is None:
+        value = self._values.get(center)
+        if value is None:
             if center not in self:
                 raise KeyError(center)
-            array = self._arrays[center] = self._sweep(center)
-        return array
+            value = self._values[center] = self._compute(center)
+        return value
 
     def __contains__(self, center: object) -> bool:
         index = bisect_left(self._centers, center)
@@ -537,27 +553,28 @@ class CenterExploration:
 
     * ``near_centers[c]`` -- the sorted centers within ``depth`` of center
       ``c`` (excluding ``c``); drives popularity and the interconnection
-      requests.
+      requests, like :attr:`ExplorationResult.near_centers` of the simulated
+      protocol.
     * ``parents[c]`` -- the BFS-tree parent of every vertex *toward* ``c``
-      (``-1`` for unreached vertices, ``c`` for the root itself), with the
-      same sorted-neighbour tie-breaking as :func:`centralized_bounded_exploration`'s
-      via-pointers; drives the shortest-path trace-back.  It is a
-      :class:`LazyParents` mapping: a center's dense array is swept the first
-      time the trace-back reads it, so an exploration whose centers are
-      mostly popular (few or no interconnection targets) never pays one
-      O(n + m) array per center.  Depth 1 therefore needs no special case:
-      its trace-back emits each path as the direct edge
-      ``(initiator, target)`` and never reads a parent array.
+      (``-1`` for unreached vertices, ``c`` for the root itself): the first
+      toucher of a FIFO sweep over the sorted CSR rows, which drives the
+      shortest-path trace-back.  It is a :class:`LazyCenterMap`: a center's
+      dense array is swept the first time the trace-back reads it, so an
+      exploration whose centers are mostly popular (few or no
+      interconnection targets) never pays one O(n + m) array per center.
+      Depth 1 therefore needs no special case: its trace-back emits each
+      path as the direct edge ``(initiator, target)`` and never reads a
+      parent array.
 
-    The full per-vertex knowledge of :func:`centralized_bounded_exploration`
-    is a strict superset of this; the engine only ever reads the parts kept
-    here, so both produce identical spanners.
+    The exhaustive per-vertex knowledge map of the test oracle
+    (``tests/oracles.py``) is a strict superset of this, with via-pointers
+    equal to these parents; the engine only ever reads the parts kept here.
     """
 
     near_centers: Dict[int, Sequence[int]]
     # Dense per-center parent arrays: Python lists on the pure backend,
     # ``numpy.int64`` arrays on the vectorized one (element-identical).
-    parents: LazyParents
+    parents: LazyCenterMap
     popular: Set[int]
     centers: List[int]
     depth: int
@@ -582,9 +599,7 @@ def centralized_engine_exploration(
     are all the component's other centers -- no sweep of its own.  Only the
     centers failing that test get a depth-bounded sweep (on the vectorized
     tier, one compiled BFS cut at ``depth``).  Parent arrays are swept
-    lazily (see :class:`CenterExploration`); their visit order matches
-    :func:`centralized_bounded_exploration` exactly, so the parent chains
-    equal its via chains.
+    lazily (see :class:`CenterExploration`).
     """
     n = graph.num_vertices
     center_list = sorted(set(centers))
@@ -605,7 +620,7 @@ def centralized_engine_exploration(
         component_sweep, parent_sweep, reached_among = (
             _python_component, _python_parents, _python_reached
         )
-    parents = LazyParents(center_list, lambda center: parent_sweep(csr, center, depth))
+    parents = LazyCenterMap(center_list, lambda center: parent_sweep(csr, center, depth))
     near_centers: Dict[int, Sequence[int]] = {}
     is_center = bytearray(n)
     for center in center_list:
@@ -714,67 +729,3 @@ def _numpy_reached(parent, members: List[int]) -> List[int]:
     np = require_numpy()
     members_np = np.asarray(members, dtype=np.int64)
     return members_np[parent[members_np] >= 0].tolist()
-
-
-def centralized_bounded_exploration(
-    graph,
-    centers: Iterable[int],
-    depth: int,
-    cap: int,
-) -> ExplorationResult:
-    """Centralized reference implementation of Algorithm 1.
-
-    Produces the *exact* knowledge (no truncation at intermediate vertices):
-    every vertex knows every center within ``depth`` of it, and popularity is
-    decided against the true neighbourhood counts.  This matches the guarantee
-    of Theorem 2.1 for the vertices the algorithm cares about (non-popular
-    centers know everything; popular centers are exactly those with ``>= cap``
-    near centers) and is what the centralized reference engine uses.
-
-    Each center's sweep is a depth-bounded frontier walk over the CSR
-    snapshot, so the work is proportional to the explored balls rather than
-    ``|centers| * n``.  Visit order matches a sorted-neighbour BFS exactly,
-    which keeps the recorded via-pointers (the BFS-tree parents pointing
-    toward the center) bit-identical to the historical implementation.
-    """
-    n = graph.num_vertices
-    center_list = sorted(set(centers))
-    for center in center_list:
-        if not 0 <= center < n:
-            raise ValueError(f"center {center} out of range")
-    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
-    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
-    rows = graph.csr().rows()
-    for center in center_list:
-        known_dist[center][center] = 0
-        known_via[center][center] = None
-        seen = {center}
-        seen_add = seen.add
-        frontier = [center]
-        d = 0
-        while frontier and d < depth:
-            d += 1
-            next_frontier: List[int] = []
-            push = next_frontier.append
-            for u in frontier:
-                for v in rows[u]:
-                    if v not in seen:
-                        seen_add(v)
-                        # ``u`` is the BFS-tree parent of ``v``, i.e. the
-                        # direction a trace-back toward the center must walk.
-                        known_dist[v][center] = d
-                        known_via[v][center] = u
-                        push(v)
-            frontier = next_frontier
-    popular = {
-        center for center in center_list if len(known_dist[center]) - 1 >= cap
-    }
-    return ExplorationResult(
-        known_dist=known_dist,
-        known_via=known_via,
-        popular=popular,
-        centers=center_list,
-        depth=depth,
-        cap=cap,
-        nominal_rounds=1 + cap * depth,
-    )

@@ -31,7 +31,7 @@ DISTANCE_SCENARIO = "serve-distance"
 
 #: Code-relevant version baked into every serve content address; bump it to
 #: invalidate previously stored serve payloads wholesale.
-SERVE_VERSION = "1"
+SERVE_VERSION = "2"
 
 #: Workload families whose generator returns *exactly* ``size`` vertices.
 #: Distance queries address vertices by id, so the load generator only draws

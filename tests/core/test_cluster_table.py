@@ -6,10 +6,10 @@ Three layers of coverage:
   O(1) queries, batched merge/retire semantics, version bumps, snapshot
   freezing);
 * :class:`FlatClusters` compatibility with the legacy
-  :class:`~repro.core.clusters.ClusterCollection` accessors;
+  ``ClusterCollection`` accessors of the frozenset oracle;
 * a randomized cross-check: random merge/retire schedules are applied to
   both a :class:`ClusterTable` and the frozenset-based reference
-  (:func:`~repro.core.superclustering.build_superclusters` over
+  (``build_superclusters`` of ``tests/oracles.py`` over
   :class:`ClusterCollection`), and every observable must match exactly;
 * the engine-level invariant: on real runs, the partition property holds on
   every phase boundary.
@@ -27,10 +27,10 @@ from repro.core.cluster_table import (
     FlatClusters,
     flat_collections_partition_vertices,
 )
-from repro.core.clusters import ClusterCollection
-from repro.core.superclustering import build_superclusters
 from repro.graphs import gnp_random_graph
 from repro.graphs.graph import Graph
+
+from oracles import ClusterCollection, build_superclusters
 
 
 def path_graph(n: int) -> Graph:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Cluster, ClusterCollection, collections_partition_vertices
+from oracles import Cluster, ClusterCollection, collections_partition_vertices
 from repro.graphs import Graph, path_graph
 
 

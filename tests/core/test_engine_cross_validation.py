@@ -70,3 +70,20 @@ def test_edge_counts_are_close(both_results):
     centralized, distributed = both_results
     assert centralized.num_edges <= distributed.num_edges * 1.5 + 5
     assert distributed.num_edges <= centralized.num_edges * 1.5 + 5
+
+
+def test_nominal_rounds_match(both_results):
+    """One round formula: the phases charge the same rounds on both engines.
+
+    The forest's ``2 * superclustering_depth(i)`` rounds are only charged in
+    a phase whose forest runs, and the distributed phases sum to its ledger.
+    """
+    centralized, distributed = both_results
+    assert [r.nominal_rounds for r in centralized.phase_records] == [
+        r.nominal_rounds for r in distributed.phase_records
+    ]
+    assert centralized.nominal_rounds == distributed.nominal_rounds
+    assert (
+        sum(r.nominal_rounds for r in distributed.phase_records)
+        == distributed.ledger.nominal_rounds
+    )

@@ -6,17 +6,16 @@ import pytest
 
 from repro.congest import Simulator
 from repro.core import (
-    Cluster,
-    ClusterCollection,
-    build_superclusters,
     deterministic_forest,
     forest_path_edges,
     interconnection_requests,
     spanned_center_roots,
 )
 from repro.core.interconnection import count_interconnection_paths
-from repro.graphs import grid_graph, path_graph
-from repro.primitives import centralized_bounded_exploration, run_bfs_forest
+from repro.graphs import path_graph
+from repro.primitives import run_bfs_forest
+
+from oracles import Cluster, ClusterCollection, build_superclusters, centralized_bounded_exploration
 
 
 class TestDeterministicForest:
@@ -86,7 +85,7 @@ class TestBuildSuperclusters:
 class TestInterconnectionRequests:
     def test_requests_exclude_self_and_cover_known(self, grid_5x5):
         exploration = centralized_bounded_exploration(grid_5x5, [0, 2, 12], depth=4, cap=10)
-        requests = interconnection_requests([0], exploration)
+        requests = interconnection_requests([0], exploration.near_centers)
         assert 0 not in requests[0]
         assert set(requests[0]) == {2, 12}
 

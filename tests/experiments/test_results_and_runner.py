@@ -9,14 +9,12 @@ from repro.experiments import (
     default_parameters,
     experiment_workloads,
     fit_power_law,
-    measure_baseline,
-    measure_deterministic,
+    measure_algorithm,
     measurement_row,
     save_records,
     scaling_graphs,
     scaling_sizes,
 )
-from repro.baselines import build_greedy_spanner
 from repro.graphs import gnp_random_graph
 
 
@@ -108,22 +106,6 @@ class TestWorkloads:
 
 
 class TestRunner:
-    def test_measure_deterministic(self):
-        graph = gnp_random_graph(40, 0.1, seed=1)
-        measurement, result = measure_deterministic(graph, default_parameters(), graph_name="g")
-        assert measurement.guarantee_satisfied
-        assert measurement.num_spanner_edges == result.num_edges
-        row = measurement.to_row()
-        assert row["graph"] == "g"
-        assert row["n"] == 40
-
-    def test_measure_baseline(self):
-        graph = gnp_random_graph(40, 0.1, seed=2)
-        measurement, baseline = measure_baseline(graph, lambda: build_greedy_spanner(graph, 5))
-        assert measurement.algorithm == "greedy"
-        assert measurement.guarantee_satisfied
-        assert measurement.num_spanner_edges == baseline.num_edges
-
     def test_fit_power_law_exact(self):
         sizes = [10, 100, 1000]
         values = [5 * s ** 2 for s in sizes]
@@ -135,7 +117,7 @@ class TestRunner:
 
     def test_measurement_row_strips_timing(self):
         graph = gnp_random_graph(30, 0.15, seed=3)
-        measurement, _ = measure_deterministic(graph, default_parameters(), graph_name="g")
+        measurement, _ = measure_algorithm(graph, "new-centralized", graph_name="g")
         row = measurement_row(measurement)
         assert "seconds" not in row
         assert "wall_seconds" not in row

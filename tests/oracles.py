@@ -1,30 +1,28 @@
-"""Legacy cluster / cluster-collection objects (API boundary only).
+"""Reference implementations the tests check the fast paths against.
 
-A *cluster* is a set of vertices centered around a designated center vertex
-(paper, Section 2.1).  A *cluster collection* ``P_i`` is the input of phase
-``i``; ``P_0`` is the partition of ``V`` into singletons, and the
-superclustering step of phase ``i`` produces ``P_{i+1}``.  The clusters of
-``P_i`` that are *not* superclustered form ``U_i``; the paper proves
-(Corollary 2.5) that ``U_0, ..., U_ell`` together partition ``V``.
+None of this runs in a build.  Each oracle is the plain, readable form of a
+step the package implements on flat arrays or as a simulated protocol:
 
-.. note::
-   The build hot path no longer runs on these ``frozenset``-backed objects:
-   both engines and all baselines carry a flat-array
-   :class:`~repro.core.cluster_table.ClusterTable` and record
-   :class:`~repro.core.cluster_table.FlatClusters` snapshots in their
-   histories.  This module remains as the readable reference implementation
-   -- the randomized cross-check in ``tests/core/test_cluster_table.py``
-   validates the flat structures against it -- and as a convenience API for
-   constructing small collections by hand.
+* :class:`Cluster` / :class:`ClusterCollection` and
+  :func:`build_superclusters` -- the frozenset cluster bookkeeping that
+  :class:`~repro.core.cluster_table.ClusterTable` replaces;
+* :func:`centralized_bounded_exploration` -- Algorithm 1 with exhaustive
+  per-vertex knowledge, the reference for
+  :func:`~repro.primitives.exploration.centralized_engine_exploration` and
+  for the simulated :func:`~repro.primitives.exploration.run_bounded_exploration`;
+* :func:`centralized_traceback` / :func:`centralized_forest_markup` -- the
+  via-pointer and forest-path walks behind the trace-back protocols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..graphs.bfs import bfs_distances
-from ..graphs.graph import Graph
+from repro.graphs.bfs import bfs_distances
+from repro.graphs.graph import Graph, normalize_edge
+from repro.primitives.bfs_forest import ForestResult
+from repro.primitives.exploration import ExplorationResult
 
 
 @dataclass(frozen=True)
@@ -205,3 +203,122 @@ def collections_partition_vertices(
                     return False
                 seen.add(v)
     return seen == set(range(num_vertices))
+
+
+def build_superclusters(
+    collection: ClusterCollection,
+    center_root: Dict[int, int],
+) -> Tuple[ClusterCollection, ClusterCollection]:
+    """Split ``P_i`` into the new superclusters ``P_{i+1}`` and the leftovers ``U_i``.
+
+    ``center_root`` maps every *spanned* cluster center to the root of its
+    forest tree; the new supercluster centered at a root is the union of the
+    vertex sets of all its spanned constituent clusters (the forest path
+    itself is **not** part of the cluster -- it only enters the spanner).
+    """
+    clusters_by_root: Dict[int, List[Cluster]] = {}
+    unclustered = ClusterCollection()
+    for cluster in collection:
+        root = center_root.get(cluster.center)
+        if root is None:
+            unclustered.add(cluster)
+        else:
+            clusters_by_root.setdefault(root, []).append(cluster)
+    next_collection = ClusterCollection()
+    for root in sorted(clusters_by_root.keys()):
+        next_collection.add(Cluster.merge(root, clusters_by_root[root]))
+    return next_collection, unclustered
+
+
+def centralized_bounded_exploration(
+    graph,
+    centers: Iterable[int],
+    depth: int,
+    cap: int,
+) -> ExplorationResult:
+    """Centralized reference implementation of Algorithm 1.
+
+    Produces the *exact* knowledge (no truncation at intermediate vertices):
+    every vertex knows every center within ``depth`` of it, and popularity is
+    decided against the true neighbourhood counts.  This matches the guarantee
+    of Theorem 2.1 for the vertices the algorithm cares about (non-popular
+    centers know everything; popular centers are exactly those with ``>= cap``
+    near centers).
+
+    Each center's sweep is a depth-bounded frontier walk over the CSR
+    snapshot, so the work is proportional to the explored balls rather than
+    ``|centers| * n``.  Visit order matches a sorted-neighbour BFS exactly,
+    which keeps the recorded via-pointers (the BFS-tree parents pointing
+    toward the center) bit-identical to the historical implementation.
+    """
+    n = graph.num_vertices
+    center_list = sorted(set(centers))
+    for center in center_list:
+        if not 0 <= center < n:
+            raise ValueError(f"center {center} out of range")
+    known_dist: List[Dict[int, int]] = [dict() for _ in range(n)]
+    known_via: List[Dict[int, Optional[int]]] = [dict() for _ in range(n)]
+    rows = graph.csr().rows()
+    for center in center_list:
+        known_dist[center][center] = 0
+        known_via[center][center] = None
+        seen = {center}
+        seen_add = seen.add
+        frontier = [center]
+        d = 0
+        while frontier and d < depth:
+            d += 1
+            next_frontier: List[int] = []
+            push = next_frontier.append
+            for u in frontier:
+                for v in rows[u]:
+                    if v not in seen:
+                        seen_add(v)
+                        # ``u`` is the BFS-tree parent of ``v``, i.e. the
+                        # direction a trace-back toward the center must walk.
+                        known_dist[v][center] = d
+                        known_via[v][center] = u
+                        push(v)
+            frontier = next_frontier
+    popular = {
+        center for center in center_list if len(known_dist[center]) - 1 >= cap
+    }
+    return ExplorationResult(
+        known_dist=known_dist,
+        known_via=known_via,
+        popular=popular,
+        centers=center_list,
+        depth=depth,
+        cap=cap,
+        nominal_rounds=1 + cap * depth,
+    )
+
+
+def centralized_traceback(
+    exploration: ExplorationResult,
+    requests: Dict[int, Iterable[int]],
+) -> Set[Tuple[int, int]]:
+    """Centralized equivalent of :func:`~repro.primitives.traceback.run_traceback`."""
+    edges: Set[Tuple[int, int]] = set()
+    known_dist = exploration.known_dist
+    for initiator, targets in requests.items():
+        for target in targets:
+            if target == initiator or target not in known_dist[initiator]:
+                continue
+            path = exploration.trace_path(initiator, target)
+            for a, b in zip(path, path[1:]):
+                edges.add(normalize_edge(a, b))
+    return edges
+
+
+def centralized_forest_markup(
+    forest: ForestResult,
+    targets: Iterable[int],
+) -> Set[Tuple[int, int]]:
+    """Centralized equivalent of :func:`~repro.primitives.traceback.run_forest_path_markup`."""
+    edges: Set[Tuple[int, int]] = set()
+    for target in targets:
+        path = forest.tree_path_to_root(target)
+        for a, b in zip(path, path[1:]):
+            edges.add(normalize_edge(a, b))
+    return edges

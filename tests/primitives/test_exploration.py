@@ -11,10 +11,11 @@ from repro.graphs import (
     cycle_graph,
     gnp_random_graph,
     grid_graph,
-    path_graph,
     star_graph,
 )
-from repro.primitives import centralized_bounded_exploration, run_bounded_exploration
+from repro.primitives import run_bounded_exploration
+
+from oracles import centralized_bounded_exploration
 
 
 def run_both(graph, centers, depth, cap):

@@ -5,15 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Simulator
-from repro.graphs import Graph, bfs_distances, grid_graph, path_graph
+from repro.graphs import bfs_distances
 from repro.primitives import (
-    centralized_forest_markup,
-    centralized_traceback,
     run_bfs_forest,
     run_bounded_exploration,
     run_forest_path_markup,
     run_traceback,
 )
+
+from oracles import centralized_forest_markup, centralized_traceback
 
 
 def spanner_from_edges(graph, edges):

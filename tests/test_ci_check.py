@@ -154,6 +154,7 @@ class TestStagePlan:
             str(tests / "core"),
             str(tests / "primitives"),
             str(tests / "graphs"),
+            str(tests / "baselines"),
             "-q",
         ]
         # Unlike the tier-1 stages it is not skipped under --fast.
