@@ -3,9 +3,10 @@
 Pins the fault tier's two performance claims:
 
 * **zero cost when off** -- a run with no fault plan (or an inactive one)
-  goes through the untouched fault-free scheduler, so the golden BFS-forest
-  counters stay bit-identical to the committed ``BENCH_seed.json`` baseline;
-* **bounded cost when on** -- the fault-mode scheduler pays per-delivery
+  uses the plain delivery function of the one round loop, so the golden
+  BFS-forest counters stay bit-identical to the committed
+  ``BENCH_seed.json`` baseline;
+* **bounded cost when on** -- faulted delivery pays per-delivery-event
   bookkeeping; its wall-clock and injected-fault counters are recorded here
   so snapshots track the overhead across PRs.
 """
@@ -76,9 +77,9 @@ def test_no_plan_run_matches_the_seed_golden(benchmark, forest_graph, golden_for
 def test_inactive_plan_routes_through_the_fault_free_path(
     benchmark, forest_graph, golden_forest_counters
 ):
-    # An all-zero plan must not even enter the fault-mode scheduler: the
-    # counters stay bit-identical to the seed baseline and no fault
-    # bookkeeping is attached to the run.
+    # An all-zero plan runs the plain delivery path: the counters stay
+    # bit-identical to the seed baseline and no fault bookkeeping is
+    # attached to the run.
     idle_plan = FaultPlan(seed=41)
     assert not idle_plan.active
     forest = benchmark(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import sys
 
 from repro import build_spanner, make_parameters
-from repro.analysis import render_table
 from repro.experiments import (
     figure1_superclustering,
     figure2_bfs_trees,

@@ -12,15 +12,20 @@ performance:
 
 Typical usage::
 
-    # record the current tree as the baseline
-    python scripts/bench_compare.py --output BENCH_seed.json
+    # compare the current tree against the committed BENCH_seed.json
+    python scripts/bench_compare.py
 
-    # after a change: record and compare
-    python scripts/bench_compare.py --output BENCH_pr1.json --baseline BENCH_seed.json
+    # golden counters only (fast), keeping the snapshot
+    python scripts/bench_compare.py --skip-benchmarks --output /tmp/snapshot.json
 
-The comparison prints a per-benchmark speedup table and re-checks that the
-golden counters are unchanged; a golden mismatch exits non-zero because it
-means a "performance" change silently altered protocol behaviour.
+    # compare against another snapshot
+    python scripts/bench_compare.py --baseline BENCH_pr1.json
+
+A snapshot file is written only when ``--output`` is given, so a bare run
+never overwrites a committed ``BENCH_*.json``.  The comparison prints a
+per-benchmark speedup table and re-checks that the golden counters are
+unchanged; a golden mismatch exits non-zero because it means a
+"performance" change silently altered protocol behaviour.
 """
 
 from __future__ import annotations
@@ -187,8 +192,14 @@ def compare(current: Dict[str, object], baseline: Dict[str, object]) -> int:
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="BENCH_pr1.json", help="where to write the snapshot")
-    parser.add_argument("--baseline", default=None, help="baseline snapshot to diff against")
+    parser.add_argument(
+        "--output", default=None, help="where to write the snapshot (default: write none)"
+    )
+    parser.add_argument(
+        "--baseline",
+        default=str(REPO_ROOT / "BENCH_seed.json"),
+        help="baseline snapshot to diff against (default: the committed BENCH_seed.json)",
+    )
     parser.add_argument("-k", "--keyword", default="", help="pytest -k filter for the benchmarks")
     parser.add_argument(
         "--skip-benchmarks",
@@ -203,20 +214,19 @@ def main(argv: List[str] | None = None) -> int:
         "benchmarks": {} if args.skip_benchmarks else run_benchmarks(args.keyword),
         "golden": golden_workloads(),
     }
-    out_path = Path(args.output)
-    out_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path} ({len(snapshot['benchmarks'])} benchmarks, "
-          f"{len(snapshot['golden'])} golden workloads)")
+    if args.output:
+        out_path = Path(args.output)
+        out_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {out_path} ({len(snapshot['benchmarks'])} benchmarks, "
+              f"{len(snapshot['golden'])} golden workloads)")
 
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"baseline {baseline_path} not found; skipping comparison", file=sys.stderr)
-            return 0
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-        return compare(snapshot, baseline)
-    return 0
+    baseline_path = Path(args.baseline)
+    if not baseline_path.exists():
+        print(f"baseline {baseline_path} not found; skipping comparison", file=sys.stderr)
+        return 0
+    with open(baseline_path) as handle:
+        baseline = json.load(handle)
+    return compare(snapshot, baseline)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from .errors import (
 from .faults import FaultPlan, LinkOutage, fault_round_limit, fresh_fault_counters
 from .ledger import PhaseCharge, RoundLedger
 from .message import Message, count_words
-from .node import NodeContext, NodeProgram, StatefulNodeProgram, make_programs
+from .node import NodeContext, NodeProgram
 from .simulator import (
     DEFAULT_BANDWIDTH_MESSAGES,
     DEFAULT_MAX_WORDS_PER_MESSAGE,
@@ -42,10 +42,8 @@ __all__ = [
     "RoundLedger",
     "RoundLimitExceeded",
     "Simulator",
-    "StatefulNodeProgram",
     "Tracer",
     "count_words",
     "fault_round_limit",
     "fresh_fault_counters",
-    "make_programs",
 ]

@@ -27,8 +27,12 @@ observe the plan other than through the faults themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Type, TypeVar
+
+from .errors import ProtocolFault, RoundLimitExceeded
+
+T = TypeVar("T")
 
 _MASK64 = (1 << 64) - 1
 
@@ -242,6 +246,30 @@ class FaultPlan:
             return self
         return self.derive(attempt)
 
+    def sub_protocol(
+        self, salt: int, crash_at: Mapping[int, int], start: int, length: int
+    ) -> "FaultPlan":
+        """The plan of one sub-protocol of a multi-protocol construction.
+
+        The sub-protocol occupies global rounds ``start..start+length-1``.  Its
+        plan has an independent seed stream (:meth:`derive` with ``salt``),
+        and its crash schedule is ``crash_at`` (the construction's global
+        :meth:`crash_schedule`) projected onto local round numbering: a node
+        crashing at or before ``start`` is dead from local round 0, one
+        crashing inside the window dies at its local round, and later crashes
+        are omitted.  So a crash-stopped node stays dead for the rest of the
+        construction.
+        """
+        local: Dict[int, int] = {}
+        for v, r in crash_at.items():
+            if r <= start:
+                local[v] = 0
+            elif r < start + length:
+                local[v] = r - start
+        return replace(
+            self.derive(salt), crash_fraction=0.0, crashes=tuple(sorted(local.items()))
+        )
+
     # -- serialization -------------------------------------------------
     def describe(self) -> Dict[str, object]:
         """A JSON-safe description of the plan (round-trips via :meth:`from_dict`)."""
@@ -286,3 +314,29 @@ def fault_round_limit(nominal_rounds: int, plan: Optional[FaultPlan]) -> int:
     """
     stretch = 1 + (plan.max_delay if plan is not None else 0)
     return (nominal_rounds + 1) * stretch * 2 + 8
+
+
+def run_with_retries(
+    attempt: Callable[[FaultPlan, int], T],
+    plan: FaultPlan,
+    max_attempts: int,
+    label: str,
+    reason: str,
+    retry_on: Type[Exception] = RoundLimitExceeded,
+) -> T:
+    """The retry policy every fault-hardened primitive shares.
+
+    Calls ``attempt(plan.retry(k), k + 1)`` for ``k = 0, 1, ...`` until one
+    call returns, re-running on ``retry_on`` (at least once, at most
+    ``max_attempts`` times).  When the last attempt fails too, raises
+    :class:`~repro.congest.errors.ProtocolFault` with ``label``, ``reason``
+    and the attempt count.
+    """
+    attempts = max(1, max_attempts)
+    for k in range(attempts):
+        try:
+            return attempt(plan.retry(k), k + 1)
+        except retry_on:
+            if k == attempts - 1:
+                raise ProtocolFault(label, reason, attempts=attempts)
+    raise AssertionError("unreachable")

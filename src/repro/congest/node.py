@@ -8,7 +8,7 @@ queueing messages for the next round through its :class:`NodeContext`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import InvalidDestination, MessageTooLarge
 from .message import Message, count_words
@@ -192,36 +192,3 @@ class NodeProgram:
         """Return this node's local output once the protocol has terminated."""
         return None
 
-
-class StatefulNodeProgram(NodeProgram):
-    """Convenience base class carrying a shared per-vertex state dictionary.
-
-    The spanner algorithm runs many sub-protocols in sequence over the same
-    network; each sub-protocol reads and writes the persistent per-vertex
-    state (cluster membership, known centers, tree parents, ...) through this
-    class.
-    """
-
-    def __init__(self, node_id: int, state: Dict[str, Any]) -> None:
-        self.node_id = node_id
-        self.state = state
-
-    def result(self) -> Dict[str, Any]:
-        return self.state
-
-
-def make_programs(
-    num_vertices: int,
-    factory,
-    states: Optional[List[Dict[str, Any]]] = None,
-) -> List[NodeProgram]:
-    """Instantiate one program per vertex.
-
-    ``factory`` is called as ``factory(node_id)`` or ``factory(node_id, state)``
-    depending on whether per-vertex ``states`` are supplied.
-    """
-    if states is None:
-        return [factory(v) for v in range(num_vertices)]
-    if len(states) != num_vertices:
-        raise ValueError("states must have one entry per vertex")
-    return [factory(v, states[v]) for v in range(num_vertices)]

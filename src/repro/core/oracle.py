@@ -10,7 +10,7 @@ it, with the guarantee carried along.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..graphs.bfs import bfs, bfs_distances
 from ..graphs.distances import INFINITY

@@ -34,8 +34,8 @@ reproduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 EXPONENTIAL_STAGE = "exponential"
 FIXED_STAGE = "fixed"

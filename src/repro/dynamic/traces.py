@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set
 
 from ..graphs.generators import make_workload
 from ..graphs.graph import Edge, Graph, normalize_edge

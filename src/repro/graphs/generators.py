@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .graph import Edge, Graph
 

@@ -1,13 +1,5 @@
 """Distributed CONGEST primitives used by the spanner construction."""
 
-from .aggregation import (
-    BroadcastResult,
-    ConvergecastResult,
-    count_vertices,
-    run_broadcast,
-    run_convergecast,
-)
-from .bellman_ford import BellmanFordResult, run_bellman_ford
 from .bfs_forest import ForestResult, forest_membership, run_bfs_forest
 from .exploration import (
     CenterExploration,
@@ -32,10 +24,7 @@ from .traceback import (
 )
 
 __all__ = [
-    "BellmanFordResult",
-    "BroadcastResult",
     "CenterExploration",
-    "ConvergecastResult",
     "ExplorationResult",
     "ForestResult",
     "KnownCenter",
@@ -45,15 +34,11 @@ __all__ = [
     "centralized_engine_exploration",
     "centralized_ruling_set",
     "centralized_traceback_flat",
-    "count_vertices",
     "forest_membership",
     "id_digits",
-    "run_bellman_ford",
     "run_bfs_forest",
     "run_boruvka_msf",
     "run_bounded_exploration",
-    "run_broadcast",
-    "run_convergecast",
     "run_forest_path_markup",
     "run_ruling_set",
     "run_traceback",

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..congest.errors import ProtocolFault, RoundLimitExceeded
-from ..congest.faults import FaultPlan, fault_round_limit
+from ..congest.faults import FaultPlan, fault_round_limit, run_with_retries
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import ProtocolRun, Simulator
@@ -176,12 +175,10 @@ def run_bfs_forest(
     if depth < 0:
         raise ValueError("depth must be non-negative")
 
-    if fault_plan is None or not fault_plan.active:
-        plans: List[Optional[FaultPlan]] = [None]
-    else:
-        plans = [fault_plan.retry(k) for k in range(max(1, max_attempts))]
     starters = sorted(source_set)
-    for attempt, plan in enumerate(plans):
+
+    def grow(plan: Optional[FaultPlan], attempt_number: int) -> ForestResult:
+        """One (possibly faulted) run of the forest protocol from fresh state."""
         root: List[Optional[int]] = [None] * n
         dist: List[Optional[int]] = [None] * n
         parent: List[Optional[int]] = [None] * n
@@ -189,27 +186,18 @@ def run_bfs_forest(
         programs = [_ForestProgram(v, v in source_set, depth, shared) for v in range(n)]
         fault_kwargs = {}
         if plan is not None:
-            fault_kwargs = dict(
-                fault_plan=plan,
-                max_rounds=fault_round_limit(depth, plan),
-            )
+            fault_kwargs = dict(fault_plan=plan, max_rounds=fault_round_limit(depth, plan))
         # Forest programs are never spontaneously active (is_idle is constant
-        # True); all progress is message-driven, so the idle poll can be
-        # skipped (the hint is ignored in fault mode).
-        try:
-            run = simulator.run_protocol(
-                programs,
-                label=label,
-                nominal_rounds=depth,
-                message_driven=True,
-                starters=starters,
-                collect_results=collect_node_results,
-                **fault_kwargs,
-            )
-        except RoundLimitExceeded:
-            if attempt == len(plans) - 1:
-                raise ProtocolFault(label, "round-timeout", attempts=len(plans))
-            continue
+        # True); all progress is message-driven, so the idle poll is skipped.
+        run = simulator.run_protocol(
+            programs,
+            label=label,
+            nominal_rounds=depth,
+            message_driven=True,
+            starters=starters,
+            collect_results=collect_node_results,
+            **fault_kwargs,
+        )
         return ForestResult(
             root=root,
             dist=dist,
@@ -217,9 +205,12 @@ def run_bfs_forest(
             depth=depth,
             nominal_rounds=depth,
             run=run,
-            attempts=attempt + 1,
+            attempts=attempt_number,
         )
-    raise AssertionError("unreachable")
+
+    if fault_plan is None or not fault_plan.active:
+        return grow(None, 1)
+    return run_with_retries(grow, fault_plan, max_attempts, label, "round-timeout")
 
 
 def forest_membership(result: ForestResult) -> Dict[int, List[int]]:

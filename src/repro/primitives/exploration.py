@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -45,8 +46,12 @@ from typing import (
     Tuple,
 )
 
-from ..congest.errors import ProtocolFault, RoundLimitExceeded
-from ..congest.faults import FaultPlan, fault_round_limit, fresh_fault_counters
+from ..congest.faults import (
+    FaultPlan,
+    fault_round_limit,
+    fresh_fault_counters,
+    run_with_retries,
+)
 from ..congest.message import Message
 from ..congest.node import NodeContext, NodeProgram
 from ..congest.simulator import Simulator
@@ -310,17 +315,10 @@ def run_bounded_exploration(
 
     if fault_plan is None or not fault_plan.active:
         return _run_exploration_once(simulator, center_list, depth, cap, label, None, 1)
-    attempts = max(1, max_attempts)
-    for attempt in range(attempts):
-        try:
-            return _run_exploration_once(
-                simulator, center_list, depth, cap, label,
-                fault_plan.retry(attempt), attempt + 1,
-            )
-        except RoundLimitExceeded:
-            if attempt == attempts - 1:
-                raise ProtocolFault(label, "round-timeout", attempts=attempts)
-    raise AssertionError("unreachable")
+    return run_with_retries(
+        partial(_run_exploration_once, simulator, center_list, depth, cap, label),
+        fault_plan, max_attempts, label, "round-timeout",
+    )
 
 
 def _run_exploration_once(
@@ -406,24 +404,6 @@ def _run_exploration_once(
     )
 
 
-def _phase_crashes(
-    crash_at: Dict[int, int], phase_start: int, phase_len: int
-) -> Dict[int, int]:
-    """Project a global crash schedule onto one phase's local round numbering.
-
-    A node crashing at global round ``r`` is dead from local round 0 if the
-    crash predates the phase, from local round ``r - phase_start`` if it
-    falls inside the phase, and alive (omitted) otherwise.
-    """
-    local: Dict[int, int] = {}
-    for v, r in crash_at.items():
-        if r <= phase_start:
-            local[v] = 0
-        elif r < phase_start + phase_len:
-            local[v] = r - phase_start
-    return local
-
-
 def _run_exploration_phases(
     simulator: Simulator,
     programs: List[_ExplorationPhaseProgram],
@@ -455,12 +435,8 @@ def _run_exploration_phases(
         phase_nominal = cap if phase > 1 else cap + 1
         phase_kwargs = {}
         if plan is not None:
-            phase_plan = replace(
-                plan.derive(phase),
-                crash_fraction=0.0,
-                crashes=tuple(
-                    sorted(_phase_crashes(crash_at, counters["charged"], phase_nominal).items())
-                ),
+            phase_plan = plan.sub_protocol(
+                phase, crash_at, counters["charged"], phase_nominal
             )
             phase_kwargs = dict(
                 fault_plan=phase_plan,

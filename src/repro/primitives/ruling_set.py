@@ -37,11 +37,12 @@ is the full schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..congest.errors import ProtocolFault
-from ..congest.faults import FaultPlan, fresh_fault_counters
+from ..congest.faults import FaultPlan, fresh_fault_counters, run_with_retries
 from ..congest.simulator import Simulator
 from ..graphs.bfs import _flat_bfs_distances, frontier_forest
 from ..kernels import use_numpy
@@ -200,17 +201,11 @@ def run_ruling_set(
         return _run_ruling_set_once(
             simulator, n, candidate_list, q, c, base, label, None, 1
         )
-    attempts = max(1, max_attempts)
-    for attempt in range(attempts):
-        try:
-            return _run_ruling_set_once(
-                simulator, n, candidate_list, q, c, base, label,
-                fault_plan.retry(attempt), attempt + 1,
-            )
-        except ProtocolFault:
-            if attempt == attempts - 1:
-                raise ProtocolFault(label, "knock-out-timeout", attempts=attempts)
-    raise AssertionError("unreachable")
+    # A knock-out forest that times out raises ProtocolFault itself.
+    return run_with_retries(
+        partial(_run_ruling_set_once, simulator, n, candidate_list, q, c, base, label),
+        fault_plan, max_attempts, label, "knock-out-timeout", retry_on=ProtocolFault,
+    )
 
 
 def _run_ruling_set_once(
@@ -236,17 +231,8 @@ def _run_ruling_set_once(
     def knock_out(position: int, value: int, group: List[int]):
         ko_plan = None
         if plan is not None:
-            start = rounds["charged"]
-            local = {}
-            for v, r in crash_at.items():
-                if r <= start:
-                    local[v] = 0
-                elif r < start + q:
-                    local[v] = r - start
-            ko_plan = replace(
-                plan.derive(1_000_003 * (position + 1) + value),
-                crash_fraction=0.0,
-                crashes=tuple(sorted(local.items())),
+            ko_plan = plan.sub_protocol(
+                1_000_003 * (position + 1) + value, crash_at, rounds["charged"], q
             )
         forest = run_bfs_forest(
             simulator,

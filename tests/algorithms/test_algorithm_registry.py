@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import algorithms, build
-from repro.algorithms import AlgorithmSpec, ParamSpec, RunResult, get_spec, register, select
+from repro.algorithms import AlgorithmSpec, RunResult, get_spec, register, select
 from repro.core.parameters import StretchGuarantee
 from repro.core.result import SpannerResult
 from repro.graphs import gnp_random_graph

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.analysis.degradation import (
     degradation_summary,

@@ -11,7 +11,7 @@ from repro.analysis import (
     verify_run,
 )
 from repro.core import build_spanner
-from repro.graphs import gnp_random_graph, planted_partition_graph
+from repro.graphs import planted_partition_graph
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.analysis import evaluate_stretch
 from repro.baselines import build_elkin05_surrogate_spanner
-from repro.core import build_spanner
 from repro.graphs import gnp_random_graph, planted_partition_graph, same_component_structure
 
 

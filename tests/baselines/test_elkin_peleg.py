@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.analysis import evaluate_stretch
 from repro.baselines import build_elkin_peleg_spanner

@@ -8,14 +8,11 @@ from repro.core.parameters import SpannerParameters
 from repro.graphs import (
     Graph,
     clustered_path_graph,
-    complete_graph,
     cycle_graph,
     gnp_random_graph,
     grid_graph,
     path_graph,
     planted_partition_graph,
-    random_tree,
-    star_graph,
 )
 
 

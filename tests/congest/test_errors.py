@@ -179,7 +179,7 @@ class TestMalformedMessages:
 
 
 class TestFaultedSchedulerErrors:
-    """The fault-mode scheduler enforces the same model limits."""
+    """Under an active fault plan the round loop enforces the same model limits."""
 
     def test_strict_congestion_is_audited_on_pre_fault_sends(self):
         # A dropped delivery must not excuse the violating *send*: the audit

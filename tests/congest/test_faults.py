@@ -13,13 +13,14 @@ from repro.congest import (
     Message,
     NodeContext,
     NodeProgram,
+    ProtocolFault,
     RecordingTracer,
     RoundLimitExceeded,
     Simulator,
     fault_round_limit,
 )
-from repro.congest.faults import fresh_fault_counters
-from repro.graphs import Graph, cycle_graph, path_graph
+from repro.congest.faults import fresh_fault_counters, run_with_retries
+from repro.graphs import cycle_graph, path_graph
 from repro.primitives.bfs_forest import run_bfs_forest
 
 
@@ -104,6 +105,47 @@ def test_retry_derives_new_schedule():
     assert retry1.drop_rate == plan.drop_rate
     assert plan.retry(1) == retry1  # deterministic derivation
     assert plan.retry(2) != retry1
+
+
+def test_run_with_retries_passes_derived_plans_and_attempt_numbers():
+    plan = FaultPlan(seed=13, drop_rate=0.5)
+    seen = []
+
+    def attempt(p, number):
+        seen.append((p, number))
+        if number < 3:
+            raise RoundLimitExceeded(1)
+        return "ok"
+
+    assert run_with_retries(attempt, plan, 5, "lbl", "why") == "ok"
+    assert seen == [(plan.retry(0), 1), (plan.retry(1), 2), (plan.retry(2), 3)]
+
+
+def test_run_with_retries_raises_typed_fault_after_last_attempt():
+    def attempt(p, number):
+        raise RoundLimitExceeded(1)
+
+    with pytest.raises(ProtocolFault) as info:
+        run_with_retries(attempt, FaultPlan(seed=1, drop_rate=0.1), 0, "lbl", "why")
+    assert (info.value.label, info.value.reason, info.value.attempts) == ("lbl", "why", 1)
+
+
+def test_run_with_retries_lets_other_errors_through():
+    def attempt(p, number):
+        raise ValueError("not a timeout")
+
+    with pytest.raises(ValueError):
+        run_with_retries(attempt, FaultPlan(seed=1, drop_rate=0.1), 3, "lbl", "why")
+
+
+def test_sub_protocol_projects_crashes_onto_local_rounds():
+    plan = FaultPlan(seed=3, drop_rate=0.2, crash_fraction=0.5, crash_round=9)
+    sub = plan.sub_protocol(4, {1: 2, 2: 5, 3: 7, 4: 9}, start=5, length=3)
+    assert sub.seed == plan.derive(4).seed
+    assert sub.drop_rate == plan.drop_rate
+    assert sub.crash_fraction == 0.0
+    # dead before the window, dies inside it, crashes after it (omitted)
+    assert sub.crashes == ((1, 0), (2, 0), (3, 2))
 
 
 def test_describe_round_trip():

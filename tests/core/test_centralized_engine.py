@@ -11,16 +11,7 @@ import pytest
 
 from repro.analysis import evaluate_stretch, size_report, verify_run
 from repro.core import SpannerParameters, build_spanner
-from repro.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    gnp_random_graph,
-    hypercube_graph,
-    path_graph,
-    star_graph,
-)
+from repro.graphs import Graph, complete_graph, empty_graph, path_graph, star_graph
 
 PARAMETER_SETTINGS = [
     SpannerParameters.from_internal_epsilon(0.25, kappa=3, rho=1 / 3),

@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis import evaluate_stretch, verify_run
 from repro.congest import Simulator
-from repro.core import SpannerParameters, build_spanner
+from repro.core import build_spanner
 from repro.graphs import Graph, cycle_graph, gnp_random_graph, grid_graph, planted_partition_graph
 
 SMALL_GRAPHS = {

@@ -11,7 +11,6 @@ from repro.graphs import (
     bfs_distances,
     bfs_layers,
     bfs_tree_edges,
-    grid_graph,
     multi_source_bfs,
     path_graph,
     shortest_path,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import Simulator
-from repro.graphs import Graph, bfs_distances, cycle_graph, grid_graph, multi_source_bfs, path_graph
+from repro.graphs import bfs_distances, multi_source_bfs, path_graph
 from repro.primitives import forest_membership, run_bfs_forest
 
 

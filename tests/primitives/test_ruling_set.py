@@ -9,14 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Simulator
-from repro.graphs import (
-    bfs_distances,
-    complete_graph,
-    cycle_graph,
-    gnp_random_graph,
-    grid_graph,
-    path_graph,
-)
+from repro.graphs import complete_graph, gnp_random_graph, path_graph
 from repro.primitives import (
     centralized_ruling_set,
     id_digits,
